@@ -1,6 +1,6 @@
 // bench_catalog_scale: catalog-open, first-probe, and negative-probe
-// latency at 10^5-10^6 stored edges, v3 (map-indexed footer) against v4
-// (perfect-hash sealed index). The store is synthetic — a dense bipartite
+// latency of the perfect-hash edge index at 10^5-10^6 stored edges. The
+// store is synthetic — a dense bipartite
 // edge set over ~2*sqrt(edges) arrays, every segment the same tiny
 // pre-serialized one-row columnar table — so the measurement isolates the
 // catalog index itself: footer parse + index bind at open, index probe +
@@ -62,14 +62,10 @@ SegmentPayload MakePayload() {
   return payload;
 }
 
-/// Writes a store with exactly `edges` bipartite edges under the given
-/// footer version (v3: legacy map index; v4: perfect-hash index).
+/// Writes a store with exactly `edges` bipartite edges.
 void BuildStore(const std::string& path, int64_t edges, int64_t side,
-                uint32_t footer_version, const SegmentPayload& payload) {
-  LogStoreWriterOptions options;
-  options.footer_version = footer_version;
-  options.build_phf = footer_version >= 4;
-  auto writer = LogStoreWriter::Create(path, options);
+                const SegmentPayload& payload) {
+  auto writer = LogStoreWriter::Create(path);
   DSLOG_CHECK(writer.ok()) << writer.status().ToString();
   for (int64_t i = 0; i < side; ++i) {
     writer.value().PutArray(InArr(i), {4});
@@ -98,7 +94,7 @@ struct Timings {
 /// One rep: a timed open + timed first (positive) probe, then a second,
 /// untimed open whose only traffic is negative probes — asserting that
 /// absent-edge lookups resolve from the index alone, with zero segment
-/// bytes decoded and (on v4) without ever building the fallback name map.
+/// bytes decoded.
 Timings MeasureOnce(const std::string& path, int64_t side) {
   Timings t;
   {
@@ -126,13 +122,9 @@ Timings MeasureOnce(const std::string& path, int64_t side) {
     }
     t.negative_probe_us =
         probe.ElapsedSeconds() * 1e6 / kNegativeProbes;
-    std::shared_ptr<const LogStore> store = opened.value().log_store();
-    const LogStoreStats stats = store->stats();
+    const LogStoreStats stats = opened.value().log_store()->stats();
     DSLOG_CHECK(stats.decode_count == 0)
         << "negative probes touched " << stats.decode_count << " segment(s)";
-    if (store->edge_index_kind() == LogStore::EdgeIndexKind::kPhf)
-      DSLOG_CHECK(!store->name_index_built())
-          << "v4 store built the fallback name map";
   }
   return t;
 }
@@ -160,68 +152,57 @@ int Main(int argc, char** argv) {
   std::printf("catalog scale: %lld edges (%lld x %lld bipartite), %d reps\n",
               static_cast<long long>(edges), static_cast<long long>(side),
               static_cast<long long>(side), reps);
-  PrintRule(96);
-  std::printf("%-4s %14s %16s %18s %14s %14s\n", "ver", "open_us",
-              "first_probe_us", "negative_probe_us", "file_bytes",
-              "bits/key");
-  PrintRule(96);
+  PrintRule(91);
+  std::printf("%14s %16s %18s %14s %14s\n", "open_us", "first_probe_us",
+              "negative_probe_us", "file_bytes", "bits/key");
+  PrintRule(91);
 
-  double open_first[2] = {0, 0};  // v3, v4 means of open + first probe
-  for (uint32_t version : {3u, 4u}) {
-    const std::string path =
-        ScratchDir() + Format("/bench_catalog_scale_v%u.dsl", version);
-    BuildStore(path, edges, side, version, payload);
+  const std::string path = ScratchDir() + "/bench_catalog_scale.dsl";
+  BuildStore(path, edges, side, payload);
 
-    Timings mean;
-    for (int r = 0; r < reps; ++r) {
-      Timings t = MeasureOnce(path, side);
-      mean.open_us += t.open_us / reps;
-      mean.first_probe_us += t.first_probe_us / reps;
-      mean.negative_probe_us += t.negative_probe_us / reps;
-    }
-    open_first[version - 3] = mean.open_us + mean.first_probe_us;
-
-    auto store = LogStore::Open(path);
-    DSLOG_CHECK(store.ok()) << store.status().ToString();
-    const int64_t file_bytes = store.value()->file_size();
-    // Bytes the catalog (everything but the segment payloads, the fixed
-    // header, and the 20-byte trailer) costs per edge.
-    const int64_t payload_bytes =
-        static_cast<int64_t>(store.value()->segment_info(0).offset) +
-        edges * static_cast<int64_t>(payload.bytes.size()) + 20;
-    const double footer_bytes_per_edge =
-        static_cast<double>(file_bytes - payload_bytes) /
-        static_cast<double>(edges);
-    const bool phf =
-        store.value()->edge_index_kind() == LogStore::EdgeIndexKind::kPhf;
-    const double bits_per_key = store.value()->index_bits_per_key();
-
-    std::printf("v%-3u %14.1f %16.1f %18.3f %14lld %14.2f\n", version,
-                mean.open_us, mean.first_probe_us, mean.negative_probe_us,
-                static_cast<long long>(file_bytes), bits_per_key);
-
-    json.Add()
-        .Str("version", Format("v%u", version))
-        .Str("index_kind", phf ? "phf" : "lazy_map")
-        .Num("edges", static_cast<double>(edges))
-        .Num("reps", reps)
-        .Num("catalog_open_us", mean.open_us)
-        .Num("first_probe_us", mean.first_probe_us)
-        .Num("open_plus_first_probe_us", mean.open_us + mean.first_probe_us)
-        .Num("negative_probe_us", mean.negative_probe_us)
-        .Num("file_bytes", static_cast<double>(file_bytes))
-        .Num("footer_bytes_per_edge", footer_bytes_per_edge)
-        .Num("index_bits_per_key", bits_per_key)
-        .Num("index_fingerprint_bits",
-             static_cast<double>(store.value()->index_fingerprint_bits()));
-    (void)RemoveFileIfExists(path);
+  // One untimed rep first: process-wide one-time set-up on the first query
+  // (metrics registry entries, static caches) is not the catalog's cost.
+  MeasureOnce(path, side);
+  Timings mean;
+  for (int r = 0; r < reps; ++r) {
+    Timings t = MeasureOnce(path, side);
+    mean.open_us += t.open_us / reps;
+    mean.first_probe_us += t.first_probe_us / reps;
+    mean.negative_probe_us += t.negative_probe_us / reps;
   }
 
-  const double speedup =
-      open_first[1] > 0 ? open_first[0] / open_first[1] : 0.0;
-  json.TopNum("open_first_probe_speedup", speedup);
-  PrintRule(96);
-  std::printf("v4 open+first-probe speedup over v3: %.1fx\n", speedup);
+  auto store = LogStore::Open(path);
+  DSLOG_CHECK(store.ok()) << store.status().ToString();
+  const int64_t file_bytes = store.value()->file_size();
+  // Bytes the catalog (everything but the segment payloads, the fixed
+  // header, and the 20-byte trailer) costs per edge.
+  const int64_t payload_bytes =
+      static_cast<int64_t>(store.value()->segment_info(0).offset) +
+      edges * static_cast<int64_t>(payload.bytes.size()) + 20;
+  const double footer_bytes_per_edge =
+      static_cast<double>(file_bytes - payload_bytes) /
+      static_cast<double>(edges);
+  const double bits_per_key = store.value()->index_bits_per_key();
+
+  std::printf("%14.1f %16.1f %18.3f %14lld %14.2f\n", mean.open_us,
+              mean.first_probe_us, mean.negative_probe_us,
+              static_cast<long long>(file_bytes), bits_per_key);
+  PrintRule(91);
+
+  json.Add()
+      .Str("index_kind", "phf")
+      .Num("edges", static_cast<double>(edges))
+      .Num("reps", reps)
+      .Num("catalog_open_us", mean.open_us)
+      .Num("first_probe_us", mean.first_probe_us)
+      .Num("open_plus_first_probe_us", mean.open_us + mean.first_probe_us)
+      .Num("negative_probe_us", mean.negative_probe_us)
+      .Num("file_bytes", static_cast<double>(file_bytes))
+      .Num("footer_bytes_per_edge", footer_bytes_per_edge)
+      .Num("index_bits_per_key", bits_per_key)
+      .Num("index_fingerprint_bits",
+           static_cast<double>(store.value()->index_fingerprint_bits()));
+  (void)RemoveFileIfExists(path);
   return 0;
 }
 

@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "array/ndarray.h"
 #include "array/op.h"
@@ -167,12 +166,9 @@ BENCHMARK(BM_ForwardThetaJoin)->Arg(1 << 12)->Arg(1 << 15);
 
 // ------------------------------------------------- reuse-predictor keys --
 //
-// The predictor used to build its dim/gen/base keys with an ostringstream
-// per lookup and rehash the op arguments once per key builder. The current
-// path hashes the arguments once and either streams key bytes into a
-// reserved string (map path) or through the hash alone (sealed path).
-// BM_PredictorLegacyKeyBuild is a faithful replica of the retired builder,
-// kept here so the delta stays measurable.
+// A Predict hashes the op arguments once, builds the dim key into a
+// reserved string and probes the signature map (then the gen key on a
+// dim miss).
 
 constexpr int64_t kPredictorOps = 512;
 
@@ -200,59 +196,10 @@ ReusePredictor MakePromotedPredictor() {
   return p;
 }
 
-std::string LegacyDimKey(const std::string& op_name, const OpArgs& args,
-                         const std::vector<std::vector<int64_t>>& in_shapes) {
-  std::ostringstream key;
-  key << op_name << '#' << args.Hash();
-  for (const auto& shape : in_shapes) {
-    key << '|';
-    for (size_t i = 0; i < shape.size(); ++i) {
-      if (i) key << ',';
-      key << shape[i];
-    }
-  }
-  return key.str();
-}
-
-std::string LegacyGenKey(const std::string& op_name, const OpArgs& args) {
-  std::ostringstream key;
-  key << op_name << '#' << args.Hash();
-  return key.str();
-}
-
-void BM_PredictorLegacyKeyBuild(benchmark::State& state) {
-  OpArgs args;
-  args.SetInt("k", 7);
-  const std::string op = PredictorOpName(7);
-  const std::vector<std::vector<int64_t>> shapes = {{4}};
-  int64_t i = 0;
-  for (auto _ : state) {
-    // One Predict's worth of key construction: dim key then gen key, the
-    // argument hash recomputed by each builder (as the old code did).
-    std::string dim = LegacyDimKey(op, args, shapes);
-    std::string gen = LegacyGenKey(op, args);
-    benchmark::DoNotOptimize(dim);
-    benchmark::DoNotOptimize(gen);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PredictorLegacyKeyBuild);
-
-// range(0): 0 = map path (unsealed), 1 = sealed perfect-hash path.
-// range(1): 0 = promoted hit, 1 = absent op (miss).
+// range(0): 0 = promoted hit, 1 = absent op (miss).
 void BM_PredictorPredict(benchmark::State& state) {
-  ReusePredictor p = MakePromotedPredictor();
-  if (state.range(0) == 1) {
-    ReusePredictor restored;
-    Status st = restored.RestoreState(p.SerializeState());
-    if (!st.ok() || !restored.sealed()) {
-      state.SkipWithError("predictor did not seal");
-      return;
-    }
-    p = std::move(restored);
-  }
-  const bool miss = state.range(1) == 1;
+  const ReusePredictor p = MakePromotedPredictor();
+  const bool miss = state.range(0) == 1;
   std::vector<OpArgs> args(static_cast<size_t>(kPredictorOps));
   std::vector<std::string> ops(static_cast<size_t>(kPredictorOps));
   for (int64_t i = 0; i < kPredictorOps; ++i) {
@@ -266,13 +213,10 @@ void BM_PredictorPredict(benchmark::State& state) {
     auto tables = p.Predict(ops[idx], args[idx], {{4}}, {4});
     benchmark::DoNotOptimize(tables);
   }
-  state.SetLabel(std::string(state.range(0) ? "sealed" : "map") + "/" +
-                 (miss ? "miss" : "hit"));
+  state.SetLabel(miss ? "miss" : "hit");
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PredictorPredict)
-    ->ArgNames({"sealed", "miss"})
-    ->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_PredictorPredict)->ArgName("miss")->Arg(0)->Arg(1);
 
 void BM_BoxTableMerge(benchmark::State& state) {
   Rng rng(8);

@@ -1,11 +1,11 @@
 // dslog_inspect: dumps the structure of a LogStore file — header/version,
-// array catalog, per-segment edge index (layout version, row count,
+// array catalog, per-segment edge index (layout, row count,
 // bytes/row, offset, size, checksum verification), and footer totals.
-// Mixed-version stores (v1 ProvRC-GZip segments next to v2 columnar ones)
+// Mixed-layout stores (v1 ProvRC-GZip segments next to v2 columnar ones)
 // show per-layout subtotals, so "which edges still pay a gunzip" is
-// answerable at a glance. Row counts ride in v2 footers; for segments
-// written before that field the tool decodes the segment once to count
-// (marked with '*').
+// answerable at a glance. Row counts ride in the footer; for raw segments
+// appended without one the tool decodes the segment once to count (marked
+// with '*').
 //
 //   ./dslog_inspect <log.dsl>
 //
@@ -75,7 +75,7 @@ std::string BuildDemoStore() {
 }
 
 /// Row count of a segment: from the footer when recorded, otherwise by
-/// decoding the segment once (v1 footers predate the field).
+/// decoding the segment once (raw segments appended without a count).
 int64_t SegmentRows(const LogStore& store, size_t id, bool* decoded) {
   const LogStore::SegmentInfo& seg = store.segments()[id];
   *decoded = false;
@@ -173,19 +173,16 @@ int main(int argc, char** argv) {
   const LogStore& store = *opened.value();
 
   std::printf("LogStore %s\n", path.c_str());
-  std::printf("  format version : %u\n", store.format_version());
+  std::printf("  format version : %u\n", LogStore::kFormatVersion);
   std::printf("  file size      : %s\n",
               HumanBytes(store.file_size()).c_str());
   std::printf("  backed by      : %s\n",
               store.mapped() ? "mmap" : "heap read fallback");
   std::printf("  arrays         : %zu\n", store.arrays().size());
   std::printf("  segments       : %zu\n", store.segments().size());
-  if (store.edge_index_kind() == LogStore::EdgeIndexKind::kPhf)
-    std::printf("  edge index     : perfect-hash (%.2f bits/key, %u-bit "
-                "fingerprints)\n",
-                store.index_bits_per_key(), store.index_fingerprint_bits());
-  else
-    std::printf("  edge index     : lazy name map (no on-disk index)\n");
+  std::printf("  edge index     : perfect-hash (%.2f bits/key, %u-bit "
+              "fingerprints)\n",
+              store.index_bits_per_key(), store.index_fingerprint_bits());
   std::printf("  predictor blob : %s\n\n",
               HumanBytes(static_cast<int64_t>(store.predictor_state().size()))
                   .c_str());

@@ -7,9 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <system_error>
-#include <utility>
 
 namespace dslog {
 
@@ -24,25 +22,9 @@ Status WriteFile(const std::string& path, const std::string& data) {
   return Status::OK();
 }
 
-namespace io_testing {
-
-namespace {
-std::function<Status(const std::string&)>& CrashHook() {
-  static std::function<Status(const std::string&)> hook;
-  return hook;
-}
-}  // namespace
-
-void SetAtomicWriteCrashHook(
-    std::function<Status(const std::string& path)> hook) {
-  CrashHook() = std::move(hook);
-}
-
-}  // namespace io_testing
-
 Status WriteFileAtomic(const std::string& path, const std::string& data) {
   // pid + process-wide counter: concurrent writers of the same path (e.g.
-  // two threads saving one catalog directory) get distinct temp files, so
+  // two threads saving one LogStore file) get distinct temp files, so
   // their writes cannot interleave into the published file.
   static std::atomic<uint64_t> counter{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
@@ -66,11 +48,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& data) {
     return Status::IOError("fsync failed: " + tmp);
   }
   ::close(fd);
-  if (auto& hook = io_testing::CrashHook()) {
-    Status simulated = hook(path);
-    // A simulated crash stops here: tmp file written, rename never issued.
-    if (!simulated.ok()) return simulated;
-  }
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {

@@ -4,7 +4,6 @@
 #define DSLOG_COMMON_IO_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -19,17 +18,6 @@ Status WriteFile(const std::string& path, const std::string& data);
 /// so a crash mid-write never leaves a torn file at `path`: readers see
 /// either the old content or the new content, never a prefix.
 Status WriteFileAtomic(const std::string& path, const std::string& data);
-
-namespace io_testing {
-
-/// Test-only crash simulation for WriteFileAtomic. When set, the hook runs
-/// after the temp file has been written but before the rename; a non-OK
-/// return aborts the write exactly as a crash at that point would (temp
-/// file left behind, destination untouched). Pass nullptr to clear.
-/// Not thread-safe; intended for single-threaded test bodies only.
-void SetAtomicWriteCrashHook(std::function<Status(const std::string& path)> hook);
-
-}  // namespace io_testing
 
 /// Reads the entire file at `path`.
 Result<std::string> ReadFileToString(const std::string& path);

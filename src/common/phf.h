@@ -66,8 +66,8 @@ namespace dslog {
 
 /// Builds the serialized PHF block from a set of distinct 64-bit key
 /// hashes. Fails (never crashes) on duplicate hashes or if displacement
-/// search exhausts its deterministic seed schedule — callers fall back to
-/// the ordinary map index in that case.
+/// search exhausts its deterministic seed schedule — LogStoreWriter::Finish
+/// then returns the error without writing the store.
 class PhfBuilder {
  public:
   /// Returns the flat block described in the header comment. `hashes` is

@@ -2,8 +2,8 @@
 // binary tree of subtree max-hi bounds, so a probe enumerates exactly the
 // overlapping rows in O(log n + hits) instead of scanning the table. This
 // is the per-table index behind the indexed θ-join kernels (§V.B step 1):
-// the sort the old per-query sweep (query/interval_sweep.h) paid on every
-// join is paid once per table and shared by every query against it.
+// the sort is paid once per table and shared by every query against it,
+// not once per join.
 //
 // Beyond the tree probe, the sorted columns support two vectorized access
 // paths (common/simd.h) a probe can be served by:
@@ -42,8 +42,8 @@ enum class AccessPath : uint8_t {
 };
 
 /// Summary statistics of one interval column (the θ-join probe column).
-/// Computed exactly at index build time, persisted per segment in v3
-/// LogStore footers, and consumed by the join planner's cost model.
+/// Computed exactly at index build time, persisted per segment in the
+/// LogStore footer, and consumed by the join planner's cost model.
 struct IntervalColumnStats {
   int64_t row_count = -1;  // -1 = unknown
   int64_t min_lo = 0;

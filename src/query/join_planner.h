@@ -1,7 +1,7 @@
 // The θ-join access-path planner: picks, per probe, how a hop enumerates
 // its interval index — tree probe, sorted sweep, or full vectorized scan
 // (provrc/interval_index.h) — from a cost model over the per-segment
-// interval-column stats carried in v3 LogStore footers (or computed at
+// interval-column stats carried in LogStore footers (or computed at
 // index build). The model's per-element costs are *measured*, not guessed:
 // they come from the selectivity-swept BM_BackwardJoinSweep cases in
 // bench/bench_micro_query.cc (see docs/ARCHITECTURE.md for the crossover

@@ -53,7 +53,7 @@ struct QueryHop {
   /// so a concurrent eviction cannot free it mid-query.
   std::shared_ptr<const void> pin;
   /// Output-attribute-0 interval-column stats for the join planner,
-  /// available without touching the segment bytes (v3 LogStore footers
+  /// available without touching the segment bytes (LogStore footers
   /// carry them). Backward hops only — a forward hop's probe column is
   /// derived per call, so its planner uses the per-call index's stats.
   /// Default (invalid) falls back to the hop index's exact stats.

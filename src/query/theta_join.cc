@@ -130,7 +130,7 @@ BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
                         num_threads);
 }
 
-// Planner input for a kernel: caller-provided stats (from the hop's v3
+// Planner input for a kernel: caller-provided stats (from the hop's
 // footer entry) when valid, else the index's exact build-time stats.
 const IntervalColumnStats& EffectiveStats(const IntervalColumnStats* stats,
                                           const IntervalIndex& index) {

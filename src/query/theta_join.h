@@ -23,7 +23,7 @@
 // index — pruned tree probe, SIMD sorted sweep, or SIMD full scan
 // (provrc/interval_index.h). The default kAuto asks the cost-based planner
 // (query/join_planner.h) per probe, using the hop's interval-column stats
-// (v3 LogStore footers carry them per segment; otherwise the index's own
+// (LogStore footers carry them per segment; otherwise the index's own
 // exact stats). All paths emit candidates in the same order, so the result
 // is bit-identical whatever the planner (or a forced path) picks.
 
@@ -98,7 +98,7 @@ struct JoinCounters {
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
 /// `index` is the table's out-attr-0 interval index; pass nullptr to have
 /// the kernel build an ephemeral one for this call. `stats` are the probe
-/// column's stats for the planner (e.g. from the segment's v3 footer
+/// column's stats for the planner (e.g. from the segment's footer
 /// entry); nullptr or invalid stats fall back to the index's own.
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,

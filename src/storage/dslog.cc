@@ -1,18 +1,13 @@
 #include "storage/dslog.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <mutex>
-#include <set>
 
 #include "common/hash.h"
-#include "common/io.h"
 #include "common/metrics.h"
-#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "compress/varint.h"
 #include "provrc/provrc.h"
 #include "provrc/serialize.h"
 
@@ -22,13 +17,11 @@ namespace {
 
 /// Everything a query hop must keep alive after the shard lock drops:
 /// the edge's refcounted payloads plus (for lazy edges) the store's cache
-/// pin and the store itself (a concurrent Load may drop the catalog's
-/// reference mid-query).
+/// pin. The store itself stays alive through ProvQuery's own reference.
 struct HopPin {
   std::shared_ptr<const CompressedTable> table;
   std::shared_ptr<const ForwardTable> forward;
   std::shared_ptr<const void> store_pin;
-  std::shared_ptr<const LogStore> store;
 };
 
 }  // namespace
@@ -127,9 +120,8 @@ void DSLog::CommitEdges(std::vector<Edge> edges) {
 Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
   if (!reg.captured.empty() && reg.captured.size() != reg.in_arrs.size())
     return Status::InvalidArgument("one captured relation per input required");
-  // Fast-fail on unknown arrays before paying for compression. Advisory
-  // only: a concurrent Load() can replace the catalog, so the same check is
-  // repeated under the writer lock below.
+  // Fast-fail on unknown arrays before paying for compression. The shapes
+  // are read again under the writer lock below.
   {
     std::shared_lock lock(catalog_mu_);
     if (arrays_.count(reg.out_arr) == 0)
@@ -307,10 +299,9 @@ Result<bool> DSLog::FindEdgeCopy(const std::string& in_arr,
       return true;
     }
   }
-  // Shard miss: probe the store's segment index (the v4 perfect-hash index
-  // is O(1) and touches no segment bytes; v1–v3 files build their name map
-  // on first probe). Mapped edges are never materialized into the shards,
-  // so this is the common path for an in-situ catalog.
+  // Shard miss: probe the store's perfect-hash segment index (O(1), and it
+  // touches no segment bytes). Mapped edges are never materialized into the
+  // shards, so this is the common path for an in-situ catalog.
   if (store == nullptr) return false;
   DSLOG_ASSIGN_OR_RETURN(int64_t segment,
                          store->FindSegmentId(in_arr, out_arr));
@@ -433,9 +424,10 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     hop.index = pinned.index;
     // Planner stats from the segment's footer entry, for backward hops
     // only (a forward hop probes a per-call derived column, not out-attr
-    // 0). Read id-addressed so a v4 store never materializes its segment
-    // vector on the query path; pre-v3 stores yield the default-invalid
-    // stats and the joins fall back to the hop index's exact stats.
+    // 0). Read id-addressed so the store never materializes its segment
+    // vector on the query path; segments stored without stats yield the
+    // default-invalid stats and the joins fall back to the hop index's
+    // exact stats.
     if (!forward && edge.segment >= 0 && store != nullptr)
       hop.stats =
           store->segment_out0_stats(static_cast<size_t>(edge.segment));
@@ -443,7 +435,6 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     pin->table = std::move(edge.table);
     pin->forward = std::move(edge.forward);
     pin->store_pin = std::move(pinned.pin);
-    if (edge.segment >= 0) pin->store = store;
     hop.pin = std::move(pin);
     hops.push_back(std::move(hop));
   }
@@ -584,190 +575,7 @@ EdgeSegmentBytes SerializedEdgeSegment(const LogStore* store, int32_t segment,
           table->num_rows(), ComputeOut0Stats(*table)};
 }
 
-/// ProvRC-GZip bytes of an edge for the legacy directory format, which
-/// knows no other encoding: v1 in-situ segments copy straight out of the
-/// mapping; columnar ones transcode through an owned table.
-Result<std::string> GzipEdgeBytes(const LogStore* store, int32_t segment,
-                                  const CompressedTable* table) {
-  if (segment < 0) return SerializeCompressedTableGzip(*table);
-  const LogStore::SegmentInfo seg =
-      store->segment_info(static_cast<size_t>(segment));
-  std::string_view raw = store->SegmentView(static_cast<size_t>(segment));
-  if (seg.layout == SegmentLayout::kProvRcGzip) return std::string(raw);
-  DSLOG_ASSIGN_OR_RETURN(CompressedTable owned,
-                         DeserializeCompressedTableColumnar(raw));
-  return SerializeCompressedTableGzip(owned);
-}
-
-constexpr char kPredictorFile[] = "predictor.bin";
-
 }  // namespace
-
-Status DSLog::Save(const std::string& dir) const {
-  // Point-in-time snapshots, edges first: arrays are add-only (outside
-  // Load), so every snapshotted edge's arrays are present in the array
-  // snapshot taken after it.
-  std::map<std::string, Edge> edges = SnapshotEdges();
-  std::shared_ptr<const LogStore> store = log_store();
-  std::map<std::string, std::vector<int64_t>> arrays;
-  std::string predictor_state;
-  {
-    std::shared_lock lock(catalog_mu_);
-    arrays = arrays_;
-    predictor_state = predictor_.SerializeState();
-  }
-
-  DSLOG_RETURN_IF_ERROR(CreateDirs(dir));
-  // Catalog file: arrays and edge index.
-  std::string catalog;
-  PutVarint64(&catalog, arrays.size());
-  for (const auto& [name, shape] : arrays) {
-    PutVarint64(&catalog, name.size());
-    catalog += name;
-    PutVarint64(&catalog, shape.size());
-    for (int64_t d : shape) PutVarint64(&catalog, static_cast<uint64_t>(d));
-  }
-  PutVarint64(&catalog, edges.size());
-  std::set<std::string> referenced;
-  for (const auto& [key, edge] : edges) {
-    PutVarint64(&catalog, edge.in_arr.size());
-    catalog += edge.in_arr;
-    PutVarint64(&catalog, edge.out_arr.size());
-    catalog += edge.out_arr;
-    PutVarint64(&catalog, edge.op_name.size());
-    catalog += edge.op_name;
-    // File names are content-addressed: an updated edge lands in a *new*
-    // file while the file the previous catalog.bin references keeps its
-    // bytes, so a crash anywhere mid-save restores the previous catalog
-    // exactly (never a rebound or updated table). Identical tables dedup
-    // to one file as a side effect.
-    DSLOG_ASSIGN_OR_RETURN(
-        std::string bytes,
-        GzipEdgeBytes(store.get(), edge.segment, edge.table.get()));
-    std::string file = Format(
-        "edge_%016llx.prc", static_cast<unsigned long long>(Hash64(bytes)));
-    referenced.insert(file);
-    PutVarint64(&catalog, file.size());
-    catalog += file;
-    DSLOG_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + file, bytes));
-  }
-  DSLOG_RETURN_IF_ERROR(
-      WriteFileAtomic(dir + "/" + kPredictorFile, predictor_state));
-  // The catalog commits last: a crash before this point leaves the previous
-  // catalog.bin (if any) intact and loadable.
-  DSLOG_RETURN_IF_ERROR(WriteFileAtomic(dir + "/catalog.bin", catalog));
-  // Only after the commit: garbage-collect edge files no catalog references
-  // (leftovers of earlier saves of a catalog that since dropped or renamed
-  // edges). A crash here merely leaves unreferenced files for next time.
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.starts_with("edge_") && name.ends_with(".prc") &&
-        referenced.count(name) == 0)
-      (void)RemoveFileIfExists(entry.path().string());
-  }
-  return Status::OK();
-}
-
-namespace {
-
-/// One edge entry of a legacy catalog.bin: names plus the blob file name.
-struct LegacyEdgeRef {
-  std::string in_arr;
-  std::string out_arr;
-  std::string op_name;
-  std::string file;
-};
-
-Status ParseLegacyCatalog(const std::string& catalog,
-                          std::map<std::string, std::vector<int64_t>>* arrays,
-                          std::vector<LegacyEdgeRef>* edges) {
-  size_t pos = 0;
-  auto read_string = [&](std::string* out) {
-    uint64_t n;
-    if (!GetVarint64(catalog, &pos, &n)) return false;
-    if (pos + n > catalog.size()) return false;
-    *out = catalog.substr(pos, n);
-    pos += n;
-    return true;
-  };
-  uint64_t num_arrays;
-  if (!GetVarint64(catalog, &pos, &num_arrays))
-    return Status::Corruption("catalog: array count");
-  for (uint64_t i = 0; i < num_arrays; ++i) {
-    std::string name;
-    if (!read_string(&name)) return Status::Corruption("catalog: array name");
-    uint64_t nd;
-    if (!GetVarint64(catalog, &pos, &nd))
-      return Status::Corruption("catalog: ndim");
-    std::vector<int64_t> shape(nd);
-    for (auto& d : shape) {
-      uint64_t v;
-      if (!GetVarint64(catalog, &pos, &v))
-        return Status::Corruption("catalog: shape");
-      d = static_cast<int64_t>(v);
-    }
-    (*arrays)[name] = std::move(shape);
-  }
-  uint64_t num_edges;
-  if (!GetVarint64(catalog, &pos, &num_edges))
-    return Status::Corruption("catalog: edge count");
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    LegacyEdgeRef edge;
-    if (!read_string(&edge.in_arr) || !read_string(&edge.out_arr) ||
-        !read_string(&edge.op_name) || !read_string(&edge.file))
-      return Status::Corruption("catalog: edge entry");
-    edges->push_back(std::move(edge));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status DSLog::Load(const std::string& dir) {
-  DSLOG_ASSIGN_OR_RETURN(std::string catalog,
-                         ReadFileToString(dir + "/catalog.bin"));
-  std::map<std::string, std::vector<int64_t>> arrays;
-  std::vector<LegacyEdgeRef> refs;
-  DSLOG_RETURN_IF_ERROR(ParseLegacyCatalog(catalog, &arrays, &refs));
-
-  std::map<std::string, Edge> edges;
-  for (const LegacyEdgeRef& ref : refs) {
-    Edge edge;
-    edge.in_arr = ref.in_arr;
-    edge.out_arr = ref.out_arr;
-    edge.op_name = ref.op_name;
-    DSLOG_ASSIGN_OR_RETURN(std::string data,
-                           ReadFileToString(dir + "/" + ref.file));
-    DSLOG_ASSIGN_OR_RETURN(CompressedTable table,
-                           DeserializeCompressedTableGzip(data));
-    edge.table = std::make_shared<const CompressedTable>(std::move(table));
-    edges[EdgeKey(edge.in_arr, edge.out_arr)] = std::move(edge);
-  }
-
-  // Reuse-predictor state rides in a sibling file; directories written
-  // before predictor persistence simply reset the predictor.
-  ReusePredictor predictor;
-  auto predictor_blob = ReadFileToString(dir + "/" + kPredictorFile);
-  if (predictor_blob.ok())
-    DSLOG_RETURN_IF_ERROR(predictor.RestoreState(predictor_blob.value()));
-
-  // Whole-catalog barrier: catalog lock then every shard, in the fixed
-  // global order, so readers see either the old catalog or the new one.
-  std::unique_lock lock(catalog_mu_);
-  std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
-  shard_locks.reserve(shards_.size());
-  for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
-  arrays_ = std::move(arrays);
-  predictor_ = std::move(predictor);
-  store_.reset();
-  for (auto& shard : shards_) shard->edges.clear();
-  for (auto& [key, edge] : edges) {
-    EdgeShard& shard = ShardFor(edge.out_arr);
-    shard.edges[key] = std::move(edge);
-  }
-  return Status::OK();
-}
 
 // ------------------------------------------------- single-file LogStore --
 
@@ -787,12 +595,11 @@ Result<DSLog> DSLog::OpenInSitu(const std::string& path,
   return log;
 }
 
-Status DSLog::SaveLogStore(const std::string& path, SegmentLayout layout,
-                           const LogStoreWriterOptions& writer_options) const {
+Status DSLog::SaveLogStore(const std::string& path,
+                           SegmentLayout layout) const {
   std::map<std::string, Edge> edges = SnapshotEdges();
   std::shared_ptr<const LogStore> store = log_store();
-  DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer,
-                         LogStoreWriter::Create(path, writer_options));
+  DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer, LogStoreWriter::Create(path));
   {
     std::shared_lock lock(catalog_mu_);
     for (const auto& [name, shape] : arrays_) writer.PutArray(name, shape);
@@ -809,13 +616,12 @@ Status DSLog::SaveLogStore(const std::string& path, SegmentLayout layout,
   return writer.Finish();
 }
 
-Status DSLog::AppendLogStore(
-    const std::string& path, SegmentLayout layout,
-    const LogStoreWriterOptions& writer_options) const {
+Status DSLog::AppendLogStore(const std::string& path,
+                             SegmentLayout layout) const {
   std::map<std::string, Edge> edges = SnapshotEdges();
   std::shared_ptr<const LogStore> store = log_store();
   DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer,
-                         LogStoreWriter::OpenForAppend(path, writer_options));
+                         LogStoreWriter::OpenForAppend(path));
   {
     std::shared_lock lock(catalog_mu_);
     for (const auto& [name, shape] : arrays_) writer.PutArray(name, shape);
@@ -860,28 +666,6 @@ Status DSLog::AppendLogStore(
 std::shared_ptr<const LogStore> DSLog::log_store() const {
   std::shared_lock lock(catalog_mu_);
   return store_;
-}
-
-Status ConvertLegacyDirToLogStore(const std::string& dir,
-                                  const std::string& path) {
-  DSLOG_ASSIGN_OR_RETURN(std::string catalog,
-                         ReadFileToString(dir + "/catalog.bin"));
-  std::map<std::string, std::vector<int64_t>> arrays;
-  std::vector<LegacyEdgeRef> refs;
-  DSLOG_RETURN_IF_ERROR(ParseLegacyCatalog(catalog, &arrays, &refs));
-  DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer, LogStoreWriter::Create(path));
-  for (const auto& [name, shape] : arrays) writer.PutArray(name, shape);
-  for (const LegacyEdgeRef& ref : refs) {
-    // Legacy edge blobs are already ProvRC-GZip — shuttle the bytes as-is.
-    DSLOG_ASSIGN_OR_RETURN(std::string data,
-                           ReadFileToString(dir + "/" + ref.file));
-    DSLOG_RETURN_IF_ERROR(
-        writer.AppendRawSegment(ref.in_arr, ref.out_arr, ref.op_name, data));
-  }
-  auto predictor_blob = ReadFileToString(dir + "/" + kPredictorFile);
-  if (predictor_blob.ok())
-    writer.SetPredictorState(std::move(predictor_blob).ValueOrDie());
-  return writer.Finish();
 }
 
 }  // namespace dslog

@@ -1,11 +1,13 @@
 // DSLog: the lineage storage, indexing, and query system (ICDE'24 §III).
 // Tracks named arrays, ingests per-operation cell-level lineage (compressed
 // with ProvRC on ingest), answers forward/backward path queries in situ,
-// reuses lineage across repeated operations, and persists the catalog.
+// reuses lineage across repeated operations, and persists the catalog as a
+// single LogStore file (SaveLogStore / AppendLogStore / OpenInSitu).
 //
 // Thread-safety: a DSLog is safe for any number of concurrent readers
-// (ProvQuery, ProvQueryBatch, and the const accessors) interleaved with
-// writers (DefineArray, RegisterOperation, StagedIngest, Load). The edge
+// (ProvQuery, ProvQueryBatch, the const accessors, and the LogStore savers)
+// interleaved with writers (DefineArray, RegisterOperation, StagedIngest).
+// The edge
 // catalog is lock-striped: edges live in N shards (hash of the edge's
 // output array), each under its own shared_mutex, so concurrent readers
 // and an ingesting writer only contend when they touch the same shard —
@@ -166,27 +168,15 @@ class DSLog {
   /// reference would race concurrent RegisterOperation updates.
   ReuseStats reuse_stats() const;
 
-  /// Persists the catalog (arrays + compressed tables + reuse-predictor
-  /// state) to a directory, one gzip blob per edge (columnar in-situ
-  /// segments are transcoded — the legacy dir format is ProvRC-GZip only).
-  /// Every file is written atomically (temp + rename), so a crash mid-save
-  /// never leaves a torn file; catalog.bin is committed last. Concurrent
-  /// ingest is safe; the saved edge set is a point-in-time snapshot.
-  Status Save(const std::string& dir) const;
-  /// Restores a catalog persisted by Save. Reuse-predictor state is
-  /// restored when the directory carries it (directories written before
-  /// predictor persistence load with an empty predictor).
-  Status Load(const std::string& dir);
-
   // ---------------------------------------------- single-file LogStore --
 
   /// Opens a LogStore file for in-situ querying: the file is mapped, the
   /// reuse-predictor state is restored, and edge tables are decompressed
   /// lazily — a path query only decodes the segments it traverses
   /// (LRU-cached, size-bounded). No per-edge catalog state is materialized
-  /// at open: mapped edges resolve through the store's own segment index
-  /// (the v4 perfect-hash index, or a lazily built name map for v1–v3
-  /// files), so open cost is independent of the number of stored edges.
+  /// at open: mapped edges resolve through the store's perfect-hash
+  /// segment index, so open cost is independent of the number of stored
+  /// edges.
   /// The catalog stays writable: RegisterOperation adds ordinary in-memory
   /// edges next to the mapped ones (persist them with AppendLogStore); a
   /// resident edge shadows the mapped segment with the same key.
@@ -197,27 +187,21 @@ class DSLog {
 
   /// Writes the catalog as a single LogStore file (atomic: temp + rename).
   /// Resident edges serialize in `layout` — kColumnar (the default) makes
-  /// every segment the zero-copy scan format; kProvRcGzip reproduces the
-  /// compact v1 store. In-situ edges are shuttled as raw segments without
-  /// re-encoding, keeping whatever layout they already have (so a store
-  /// can legitimately mix versions; dslog_inspect shows which is which).
-  /// `writer_options` selects the footer version (v4 + perfect-hash index
-  /// by default; footer_version = 3 writes the legacy map-indexed form for
-  /// compatibility A/B runs).
+  /// every segment the zero-copy scan format; kProvRcGzip writes the
+  /// compact gzip segments. In-situ edges are shuttled as raw segments
+  /// without re-encoding, keeping whatever layout they already have (so a
+  /// store can legitimately mix layouts; dslog_inspect shows which is
+  /// which). Concurrent ingest is safe; the saved edge set is a
+  /// point-in-time snapshot.
   Status SaveLogStore(const std::string& path,
-                      SegmentLayout layout = SegmentLayout::kColumnar,
-                      const LogStoreWriterOptions& writer_options = {}) const;
+                      SegmentLayout layout = SegmentLayout::kColumnar) const;
 
   /// Incremental persistence: appends edges not yet present in the file at
   /// `path` (plus new arrays and the current predictor state) through
-  /// LogStoreWriter::OpenForAppend. Existing segments are not rewritten,
-  /// but the footer is: an appended v1–v3 store is resealed with
-  /// `writer_options.footer_version` (v4 by default), upgrading it to the
-  /// perfect-hash index in place.
-  Status AppendLogStore(
-      const std::string& path,
-      SegmentLayout layout = SegmentLayout::kColumnar,
-      const LogStoreWriterOptions& writer_options = {}) const;
+  /// LogStoreWriter::OpenForAppend. Existing segments are not rewritten;
+  /// the footer is.
+  Status AppendLogStore(const std::string& path,
+                        SegmentLayout layout = SegmentLayout::kColumnar) const;
 
   /// The backing LogStore of an in-situ catalog (decode/cache stats), or
   /// nullptr for a fully in-memory catalog.
@@ -293,7 +277,7 @@ class DSLog {
   /// Guards arrays_, predictor_, and store_ (the catalog-level state).
   /// Lock order: catalog_mu_ before any shard mu; a shard lock is never
   /// held while taking catalog_mu_, another shard's mu (except the
-  /// ascending-order multi-lock of Load/move), or a LogStore decode.
+  /// ascending-order multi-lock of a move), or a LogStore decode.
   mutable std::shared_mutex catalog_mu_;
   std::map<std::string, std::vector<int64_t>> arrays_;
   ReusePredictor predictor_;
@@ -303,7 +287,7 @@ class DSLog {
   std::shared_ptr<const LogStore> store_;
 
   /// The lock-striped edge catalog. The vector itself is immutable between
-  /// construction and destruction (Load/move replace contents under all
+  /// construction and destruction (a move replaces contents under all
   /// locks), so ShardFor needs no lock.
   std::vector<std::unique_ptr<EdgeShard>> shards_;
 
@@ -355,12 +339,6 @@ class StagedIngest {
   DSLog* log_;
   std::vector<StagedOp> ops_;
 };
-
-/// Rewrites a legacy Save() directory as a single LogStore file at `path`
-/// (arrays, every edge blob shuttled without recompression, predictor
-/// state). The directory is left untouched.
-Status ConvertLegacyDirToLogStore(const std::string& dir,
-                                  const std::string& path);
 
 }  // namespace dslog
 

@@ -23,16 +23,8 @@ constexpr char kTrailerMagic[4] = {'D', 'S', 'L', 'F'};
 constexpr size_t kHeaderSize = sizeof(kHeaderMagic);
 // fixed64 footer_offset + fixed64 footer checksum + trailer magic.
 constexpr size_t kTrailerSize = 8 + 8 + sizeof(kTrailerMagic);
-// Version 2 adds per-segment layout + row count to the footer. Version 3
-// adds per-segment output-attribute-0 interval-column stats (join-planner
-// inputs). Version 4 replaces the varint segment index with the flat
-// PHF-indexed block documented in logstore.h (fixed records + name heap +
-// minimal-perfect-hash edge index; wide footer checksum). Version-1 files
-// (all segments ProvRC-GZip, no row counts), version-2 files (no stats)
-// and version-3 files all still open.
-constexpr uint32_t kFormatVersion = 4;
 
-// v4 fixed segment record: field offsets within one 88-byte record. All
+// Fixed segment record: field offsets within one 88-byte record. All
 // fields little-endian; the record block starts 8-aligned in the file and
 // 88 is a multiple of 8, so every field is naturally aligned under mmap
 // (reads still go through memcpy for the heap-read fallback).
@@ -78,13 +70,10 @@ inline void AppendU32(std::string* s, uint32_t v) {
 }
 
 struct ParsedFooter {
-  uint32_t format_version = 0;
   uint64_t footer_offset = 0;
   std::map<std::string, std::vector<int64_t>> arrays;
-  /// v1-v3 only: the eagerly parsed segment entries.
-  std::vector<LogStore::SegmentInfo> segments;
-  /// v4 only: zero-copy views into the footer (valid while the file view
-  /// they were parsed from lives).
+  /// Zero-copy views into the footer (valid while the file view they were
+  /// parsed from lives).
   uint64_t num_segments = 0;
   std::string_view seg_records;
   std::string_view name_heap;
@@ -92,10 +81,10 @@ struct ParsedFooter {
   std::string predictor_state;
 };
 
-/// Decodes one v4 flat record into an owned SegmentInfo. Name extents are
+/// Decodes one flat record into an owned SegmentInfo. Name extents are
 /// trusted only after a bounds check; out-of-heap names (impossible on a
 /// checksum-verified footer) come back empty rather than reading wild.
-LogStore::SegmentInfo DecodeV4Record(std::string_view records,
+LogStore::SegmentInfo DecodeRecord(std::string_view records,
                                      std::string_view heap, size_t id) {
   const char* rec = records.data() + id * kRecSize;
   LogStore::SegmentInfo seg;
@@ -145,22 +134,20 @@ Status ParseFile(std::string_view file, const std::string& path,
       static_cast<size_t>(footer_offset),
       file.size() - kTrailerSize - static_cast<size_t>(footer_offset));
 
-  // The footer version picks the footer checksum function, so peek it
-  // before verifying: v4 uses the wide 8-byte-lane hash (footers scale
-  // with the catalog; byte-wise FNV over a 100 MB footer would dominate a
-  // million-edge open), v1-v3 keep byte-wise FNV for compatibility.
+  // The wide 8-byte-lane hash: footers scale with the catalog, and
+  // byte-wise FNV over a 100 MB footer would dominate a million-edge open.
   size_t pos = 0;
   uint64_t version;
-  if (!GetVarint64(footer, &pos, &version) || version == 0 ||
-      version > kFormatVersion)
+  if (!GetVarint64(footer, &pos, &version) ||
+      version != LogStore::kFormatVersion)
     return Status::Corruption("logstore unsupported format version: " + path);
-  const uint64_t computed_hash =
-      version >= 4 ? Hash64Wide(footer) : Hash64(footer);
-  if (computed_hash != footer_hash)
+  if (Hash64Wide(footer) != footer_hash)
     return Status::Corruption("logstore footer checksum mismatch: " + path);
-
+  // The footer starts 8-aligned in the file (enforced by the writer), so
+  // footer-relative alignment of the flat index is absolute alignment.
+  if (footer_offset % 8 != 0)
+    return Status::Corruption("logstore footer misaligned: " + path);
   out->footer_offset = footer_offset;
-  out->format_version = static_cast<uint32_t>(version);
 
   uint64_t num_arrays;
   if (!GetVarint64(footer, &pos, &num_arrays))
@@ -181,130 +168,42 @@ Status ParseFile(std::string_view file, const std::string& path,
     out->arrays[std::move(name)] = std::move(shape);
   }
 
-  if (out->format_version >= 4) {
-    // Flat footer: predictor blob ends the varint prelude, then padding to
-    // 8 (the footer itself starts 8-aligned in the file, enforced by the
-    // writer and checked here, so footer-relative alignment is absolute
-    // alignment), then the zero-deserialization index block.
-    if (footer_offset % 8 != 0)
-      return Status::Corruption("logstore v4 footer misaligned: " + path);
-    if (!GetLengthPrefixed(footer, &pos, &out->predictor_state))
-      return Status::Corruption("logstore footer: predictor state");
-    pos = Pad8(pos);
-    if (footer.size() < pos || footer.size() - pos < 24)
-      return Status::Corruption("logstore v4 footer: index header: " + path);
-    out->num_segments = LoadU64(footer.data() + pos);
-    const uint64_t heap_size = LoadU64(footer.data() + pos + 8);
-    const uint64_t phf_size = LoadU64(footer.data() + pos + 16);
-    pos += 24;
-    const size_t remaining = footer.size() - pos;
-    if (out->num_segments > remaining / kRecSize)
-      return Status::Corruption("logstore v4 footer: record count: " + path);
-    const size_t rec_bytes = static_cast<size_t>(out->num_segments) * kRecSize;
-    if (heap_size > remaining - rec_bytes ||
-        phf_size > remaining - rec_bytes - heap_size)
-      return Status::Corruption("logstore v4 footer: block sizes: " + path);
-    out->seg_records = footer.substr(pos, rec_bytes);
-    pos += rec_bytes;
-    out->name_heap = footer.substr(pos, static_cast<size_t>(heap_size));
-    pos = Pad8(pos + static_cast<size_t>(heap_size));
-    if (footer.size() < pos || footer.size() - pos != phf_size)
-      return Status::Corruption("logstore v4 footer: trailing bytes: " + path);
-    out->phf_block = footer.substr(pos, static_cast<size_t>(phf_size));
-    return Status::OK();
-  }
-
-  uint64_t num_segments;
-  if (!GetVarint64(footer, &pos, &num_segments))
-    return Status::Corruption("logstore footer: segment count");
-  for (uint64_t i = 0; i < num_segments; ++i) {
-    LogStore::SegmentInfo seg;
-    if (!GetLengthPrefixed(footer, &pos, &seg.in_arr) ||
-        !GetLengthPrefixed(footer, &pos, &seg.out_arr) ||
-        !GetLengthPrefixed(footer, &pos, &seg.op_name) ||
-        !GetVarint64(footer, &pos, &seg.offset) ||
-        !GetVarint64(footer, &pos, &seg.length) ||
-        !GetFixed64(footer, &pos, &seg.checksum))
-      return Status::Corruption("logstore footer: segment entry");
-    if (out->format_version >= 2) {
-      uint64_t layout;
-      int64_t row_count;
-      if (!GetVarint64(footer, &pos, &layout) ||
-          (layout != 1 && layout != 2) ||
-          !GetVarintSigned(footer, &pos, &row_count) || row_count < -1)
-        return Status::Corruption("logstore footer: segment layout");
-      seg.layout = static_cast<SegmentLayout>(layout);
-      seg.row_count = row_count;
-    } else {
-      seg.layout = SegmentLayout::kProvRcGzip;
-      seg.row_count = -1;
-    }
-    if (out->format_version >= 3) {
-      // Planner stats: sum_width = -1 marks "unknown" (e.g. raw-shuttled
-      // segments whose source predates stats); the bound fields are only
-      // meaningful when the stats are known.
-      IntervalColumnStats& st = seg.out0_stats;
-      if (!GetVarintSigned(footer, &pos, &st.sum_width) ||
-          st.sum_width < -1 ||
-          !GetVarintSigned(footer, &pos, &st.min_lo) ||
-          !GetVarintSigned(footer, &pos, &st.max_lo) ||
-          !GetVarintSigned(footer, &pos, &st.max_hi) ||
-          (st.sum_width >= 0 && (seg.row_count < 0 || st.min_lo > st.max_lo)))
-        return Status::Corruption("logstore footer: segment stats");
-      st.row_count = st.sum_width >= 0 ? seg.row_count : -1;
-    }
-    if (seg.offset < kHeaderSize || seg.offset > footer_offset ||
-        seg.length > footer_offset - seg.offset)
-      return Status::Corruption("logstore footer: segment out of bounds: " +
-                                seg.in_arr + " -> " + seg.out_arr);
-    out->segments.push_back(std::move(seg));
-  }
-
+  // The predictor blob ends the varint prelude; after padding to 8 comes
+  // the zero-deserialization index block.
   if (!GetLengthPrefixed(footer, &pos, &out->predictor_state))
     return Status::Corruption("logstore footer: predictor state");
+  pos = Pad8(pos);
+  if (footer.size() < pos || footer.size() - pos < 24)
+    return Status::Corruption("logstore footer: index header: " + path);
+  out->num_segments = LoadU64(footer.data() + pos);
+  const uint64_t heap_size = LoadU64(footer.data() + pos + 8);
+  const uint64_t phf_size = LoadU64(footer.data() + pos + 16);
+  pos += 24;
+  const size_t remaining = footer.size() - pos;
+  if (out->num_segments > remaining / kRecSize)
+    return Status::Corruption("logstore footer: record count: " + path);
+  const size_t rec_bytes = static_cast<size_t>(out->num_segments) * kRecSize;
+  if (heap_size > remaining - rec_bytes ||
+      phf_size > remaining - rec_bytes - heap_size)
+    return Status::Corruption("logstore footer: block sizes: " + path);
+  out->seg_records = footer.substr(pos, rec_bytes);
+  pos += rec_bytes;
+  out->name_heap = footer.substr(pos, static_cast<size_t>(heap_size));
+  pos = Pad8(pos + static_cast<size_t>(heap_size));
+  if (footer.size() < pos || footer.size() - pos != phf_size)
+    return Status::Corruption("logstore footer: trailing bytes: " + path);
+  out->phf_block = footer.substr(pos, static_cast<size_t>(phf_size));
   return Status::OK();
 }
 
+/// Encodes the flat footer. `segments` must already sit in PHF position
+/// order; `phf_block` is empty only when `segments` is.
 std::string EncodeFooter(
-    const std::map<std::string, std::vector<int64_t>>& arrays,
-    const std::vector<LogStore::SegmentInfo>& segments,
-    const std::string& predictor_state) {
-  std::string footer;
-  PutVarint64(&footer, 3);  // legacy varint footer version
-  PutVarint64(&footer, arrays.size());
-  for (const auto& [name, shape] : arrays) {
-    PutLengthPrefixed(&footer, name);
-    PutVarint64(&footer, shape.size());
-    for (int64_t d : shape) PutVarint64(&footer, static_cast<uint64_t>(d));
-  }
-  PutVarint64(&footer, segments.size());
-  for (const LogStore::SegmentInfo& seg : segments) {
-    PutLengthPrefixed(&footer, seg.in_arr);
-    PutLengthPrefixed(&footer, seg.out_arr);
-    PutLengthPrefixed(&footer, seg.op_name);
-    PutVarint64(&footer, seg.offset);
-    PutVarint64(&footer, seg.length);
-    PutFixed64(&footer, seg.checksum);
-    PutVarint64(&footer, static_cast<uint64_t>(seg.layout));
-    PutVarintSigned(&footer, seg.row_count);
-    PutVarintSigned(&footer, seg.out0_stats.sum_width);
-    PutVarintSigned(&footer, seg.out0_stats.min_lo);
-    PutVarintSigned(&footer, seg.out0_stats.max_lo);
-    PutVarintSigned(&footer, seg.out0_stats.max_hi);
-  }
-  PutLengthPrefixed(&footer, predictor_state);
-  return footer;
-}
-
-/// Encodes the v4 flat footer. `segments` must already sit in final id
-/// order (PHF position order when `phf_block` is non-empty); `phf_block`
-/// may be empty, in which case readers use the lazy map fallback.
-std::string EncodeFooterV4(
     const std::map<std::string, std::vector<int64_t>>& arrays,
     const std::vector<LogStore::SegmentInfo>& segments,
     const std::string& predictor_state, const std::string& phf_block) {
   std::string footer;
-  PutVarint64(&footer, 4);
+  PutVarint64(&footer, LogStore::kFormatVersion);
   PutVarint64(&footer, arrays.size());
   for (const auto& [name, shape] : arrays) {
     PutLengthPrefixed(&footer, name);
@@ -346,12 +245,10 @@ std::string EncodeFooterV4(
   return footer;
 }
 
-std::string EncodeTrailer(uint64_t footer_offset, const std::string& footer,
-                          uint32_t footer_version) {
+std::string EncodeTrailer(uint64_t footer_offset, const std::string& footer) {
   std::string trailer;
   PutFixed64(&trailer, footer_offset);
-  PutFixed64(&trailer,
-             footer_version >= 4 ? Hash64Wide(footer) : Hash64(footer));
+  PutFixed64(&trailer, Hash64Wide(footer));
   trailer.append(kTrailerMagic, sizeof(kTrailerMagic));
   return trailer;
 }
@@ -431,7 +328,7 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(
                          MmapFile::Open(path, options.use_mmap));
   ParsedFooter footer;
   DSLOG_RETURN_IF_ERROR(ParseFile(file.view(), path, &footer));
-  // ParsedFooter's v4 views point into `file`'s buffer; capture their
+  // ParsedFooter's views point into `file`'s buffer; capture their
   // offsets before the move so they can be re-based onto store->file_
   // (a moved heap-fallback buffer is not guaranteed address-stable).
   const char* old_base = file.view().data();
@@ -445,27 +342,21 @@ Result<std::unique_ptr<LogStore>> LogStore::Open(
   store->path_ = path;
   store->file_ = std::move(file);
   store->options_ = options;
-  store->format_version_ = footer.format_version;
   store->arrays_ = std::move(footer.arrays);
   store->predictor_state_ = std::move(footer.predictor_state);
-  if (footer.format_version >= 4) {
-    store->num_segments_ = static_cast<size_t>(footer.num_segments);
-    std::string_view whole = store->file_.view();
-    store->seg_records_ = whole.substr(rec_off, footer.seg_records.size());
-    store->name_heap_ = whole.substr(heap_off, footer.name_heap.size());
-    if (options.use_phf_index && !footer.phf_block.empty()) {
-      auto phf = PhfView::Bind(whole.substr(phf_off, footer.phf_block.size()));
-      if (!phf.ok())
-        return phf.status().WithMessagePrefix("logstore " + path + ": ");
-      if (phf.value().size() != footer.num_segments)
-        return Status::Corruption("logstore PHF size != segment count: " +
-                                  path);
-      store->phf_ = phf.value();
-      store->phf_enabled_ = true;
-    }
-  } else {
-    store->segments_ = std::move(footer.segments);
-    store->num_segments_ = store->segments_.size();
+  store->num_segments_ = static_cast<size_t>(footer.num_segments);
+  std::string_view whole = store->file_.view();
+  store->seg_records_ = whole.substr(rec_off, footer.seg_records.size());
+  store->name_heap_ = whole.substr(heap_off, footer.name_heap.size());
+  if (store->num_segments_ > 0) {
+    // Edge lookups go through the PHF alone, so a store with segments must
+    // carry one (an empty block fails Bind as Corruption).
+    auto phf = PhfView::Bind(whole.substr(phf_off, footer.phf_block.size()));
+    if (!phf.ok())
+      return phf.status().WithMessagePrefix("logstore " + path + ": ");
+    if (phf.value().size() != footer.num_segments)
+      return Status::Corruption("logstore PHF size != segment count: " + path);
+    store->phf_ = phf.value();
   }
   store->touched_.assign(store->num_segments_, 0);
   store->num_cache_shards_ =
@@ -512,17 +403,14 @@ bool LogStore::SegNames(size_t id, std::string_view* in_arr,
 }
 
 LogStore::SegmentInfo LogStore::segment_info(size_t id) const {
-  if (format_version_ < 4) return segments_[id];
-  return DecodeV4Record(seg_records_, name_heap_, id);
+  return DecodeRecord(seg_records_, name_heap_, id);
 }
 
 int64_t LogStore::segment_length(size_t id) const {
-  if (format_version_ < 4) return static_cast<int64_t>(segments_[id].length);
   return RecI64(id, kRecLength);
 }
 
 IntervalColumnStats LogStore::segment_out0_stats(size_t id) const {
-  if (format_version_ < 4) return segments_[id].out0_stats;
   IntervalColumnStats st;
   st.sum_width = RecI64(id, kRecSumWidth);
   st.min_lo = RecI64(id, kRecMinLo);
@@ -533,44 +421,17 @@ IntervalColumnStats LogStore::segment_out0_stats(size_t id) const {
 }
 
 const std::vector<LogStore::SegmentInfo>& LogStore::segments() const {
-  if (format_version_ < 4) return segments_;
   std::call_once(segments_once_, [this] {
     segments_.reserve(num_segments_);
     for (size_t i = 0; i < num_segments_; ++i)
-      segments_.push_back(DecodeV4Record(seg_records_, name_heap_, i));
+      segments_.push_back(DecodeRecord(seg_records_, name_heap_, i));
   });
   return segments_;
 }
 
 std::string_view LogStore::SegmentView(size_t id) const {
-  uint64_t offset, length;
-  if (format_version_ < 4) {
-    offset = segments_[id].offset;
-    length = segments_[id].length;
-  } else {
-    offset = RecU64(id, kRecOffset);
-    length = RecU64(id, kRecLength);
-  }
-  return file_.view(static_cast<size_t>(offset), static_cast<size_t>(length));
-}
-
-void LogStore::BuildNameMap() const {
-  std::call_once(name_map_once_, [this] {
-    name_map_.reserve(num_segments_);
-    for (size_t i = 0; i < num_segments_; ++i) {
-      if (format_version_ < 4) {
-        name_map_[EdgeStoreKey(segments_[i].in_arr, segments_[i].out_arr)] = i;
-      } else {
-        std::string_view in_arr, out_arr, op_name;
-        if (!SegNames(i, &in_arr, &out_arr, &op_name)) {
-          name_map_corrupt_ = true;
-          return;
-        }
-        name_map_[EdgeStoreKey(in_arr, out_arr)] = i;
-      }
-    }
-    name_map_built_.store(true, std::memory_order_release);
-  });
+  return file_.view(static_cast<size_t>(RecU64(id, kRecOffset)),
+                    static_cast<size_t>(RecU64(id, kRecLength)));
 }
 
 Result<int64_t> LogStore::FindSegmentId(std::string_view in_arr,
@@ -580,37 +441,22 @@ Result<int64_t> LogStore::FindSegmentId(std::string_view in_arr,
   static metrics::Counter& rejects =
       metrics::Registry::Global().counter("dslog.logstore.index_rejects");
   probes.Increment();
-  if (num_segments_ == 0) {
+  const int64_t pos =
+      num_segments_ == 0 ? -1 : phf_.Lookup(EdgeKeyHash(in_arr, out_arr));
+  if (pos < 0) {
     rejects.Increment();
     return -1;
   }
-  if (phf_enabled_) {
-    const int64_t pos = phf_.Lookup(EdgeKeyHash(in_arr, out_arr));
-    if (pos < 0) {
-      rejects.Increment();
-      return -1;
-    }
-    // A PHF hit is only a candidate (fingerprints pass absent keys with
-    // probability ~2^-8): confirm against the stored names before serving
-    // the id — never a wrong segment, still zero segment bytes touched.
-    std::string_view rec_in, rec_out, rec_op;
-    if (!SegNames(static_cast<size_t>(pos), &rec_in, &rec_out, &rec_op))
-      return Status::Corruption("logstore record names out of heap bounds: " +
-                                path_);
-    if (rec_in == in_arr && rec_out == out_arr) return pos;
-    rejects.Increment();
-    return -1;
-  }
-  BuildNameMap();
-  if (name_map_corrupt_)
+  // A PHF hit is only a candidate (fingerprints pass absent keys with
+  // probability ~2^-8): confirm against the stored names before serving
+  // the id — never a wrong segment, still zero segment bytes touched.
+  std::string_view rec_in, rec_out, rec_op;
+  if (!SegNames(static_cast<size_t>(pos), &rec_in, &rec_out, &rec_op))
     return Status::Corruption("logstore record names out of heap bounds: " +
                               path_);
-  auto it = name_map_.find(EdgeStoreKey(in_arr, out_arr));
-  if (it == name_map_.end()) {
-    rejects.Increment();
-    return -1;
-  }
-  return static_cast<int64_t>(it->second);
+  if (rec_in == in_arr && rec_out == out_arr) return pos;
+  rejects.Increment();
+  return -1;
 }
 
 Result<std::shared_ptr<const LogStore::ResolvedSegment>>
@@ -801,49 +647,29 @@ LogStoreStats LogStore::stats() const {
 
 // ----------------------------------------------------------------- writer --
 
-namespace {
-Status ValidateWriterOptions(const LogStoreWriterOptions& options) {
-  if (options.footer_version != 3 && options.footer_version != 4)
-    return Status::InvalidArgument("logstore writer: footer_version must be 3 "
-                                   "or 4");
-  return Status::OK();
-}
-}  // namespace
-
-Result<LogStoreWriter> LogStoreWriter::Create(
-    std::string path, const LogStoreWriterOptions& options) {
-  DSLOG_RETURN_IF_ERROR(ValidateWriterOptions(options));
+Result<LogStoreWriter> LogStoreWriter::Create(std::string path) {
   LogStoreWriter writer;
-  writer.options_ = options;
   writer.path_ = std::move(path);
   writer.base_offset_ = kHeaderSize;
   return writer;
 }
 
-Result<LogStoreWriter> LogStoreWriter::OpenForAppend(
-    std::string path, const LogStoreWriterOptions& options) {
-  DSLOG_RETURN_IF_ERROR(ValidateWriterOptions(options));
+Result<LogStoreWriter> LogStoreWriter::OpenForAppend(std::string path) {
   DSLOG_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
   ParsedFooter footer;
   DSLOG_RETURN_IF_ERROR(ParseFile(file.view(), path, &footer));
   LogStoreWriter writer;
-  writer.options_ = options;
   writer.appending_ = true;
   writer.path_ = std::move(path);
   writer.base_offset_ = footer.footer_offset;
   writer.old_file_size_ = file.size();
   writer.arrays_ = std::move(footer.arrays);
-  if (footer.format_version >= 4) {
-    // Materialize the flat records into owned entries: the writer keeps
-    // them across the life of `file`'s mapping.
-    writer.segments_.reserve(static_cast<size_t>(footer.num_segments));
-    for (uint64_t i = 0; i < footer.num_segments; ++i)
-      writer.segments_.push_back(
-          DecodeV4Record(footer.seg_records, footer.name_heap,
-                         static_cast<size_t>(i)));
-  } else {
-    writer.segments_ = std::move(footer.segments);
-  }
+  // Materialize the flat records into owned entries: the writer keeps them
+  // past the life of `file`'s mapping.
+  writer.segments_.reserve(static_cast<size_t>(footer.num_segments));
+  for (uint64_t i = 0; i < footer.num_segments; ++i)
+    writer.segments_.push_back(DecodeRecord(
+        footer.seg_records, footer.name_heap, static_cast<size_t>(i)));
   writer.predictor_state_ = std::move(footer.predictor_state);
   for (size_t i = 0; i < writer.segments_.size(); ++i)
     writer.edge_index_[EdgeStoreKey(writer.segments_[i].in_arr,
@@ -924,46 +750,41 @@ void LogStoreWriter::SetPredictorState(std::string blob) {
 Status LogStoreWriter::Finish() {
   if (finished_) return Status::Internal("logstore writer already finished");
   finished_ = true;
-  std::string footer;
-  if (options_.footer_version >= 4) {
-    // The flat footer must start 8-aligned in the file (its records are
-    // read in place); pad the segment area out to a word boundary.
-    while ((base_offset_ + new_bytes_.size()) % 8 != 0)
-      new_bytes_.push_back('\0');
-    std::string phf_block;
-    if (options_.build_phf && !segments_.empty()) {
-      std::vector<uint64_t> hashes;
-      hashes.reserve(segments_.size());
-      for (const LogStore::SegmentInfo& seg : segments_)
-        hashes.push_back(EdgeKeyHash(seg.in_arr, seg.out_arr));
-      auto built = PhfBuilder::Build(hashes);
-      if (built.ok()) {
-        // Permute the metadata records into PHF-position order so the PHF
-        // position of an edge key IS its segment id — no value array, no
-        // indirection. Only footer record order changes; segment bytes and
-        // offsets are untouched. Construction can only fail on a 64-bit
-        // key-hash collision (or seed exhaustion); the footer then ships
-        // an empty PHF block and readers fall back to the lazy map.
-        auto phf = PhfView::Bind(built.value());
-        DSLOG_CHECK(phf.ok()) << phf.status().ToString();
-        std::vector<LogStore::SegmentInfo> permuted(segments_.size());
-        for (size_t i = 0; i < segments_.size(); ++i) {
-          const int64_t pos = phf.value().Lookup(hashes[i]);
-          DSLOG_CHECK(pos >= 0 &&
-                      pos < static_cast<int64_t>(segments_.size()));
-          permuted[static_cast<size_t>(pos)] = std::move(segments_[i]);
-        }
-        segments_ = std::move(permuted);
-        phf_block = std::move(built).ValueOrDie();
-      }
+  std::string phf_block;
+  if (!segments_.empty()) {
+    std::vector<uint64_t> hashes;
+    hashes.reserve(segments_.size());
+    for (const LogStore::SegmentInfo& seg : segments_)
+      hashes.push_back(EdgeKeyHash(seg.in_arr, seg.out_arr));
+    // Construction fails only on a 64-bit edge-key hash collision (or seed
+    // exhaustion); nothing has been written yet, so the file is untouched.
+    auto built = PhfBuilder::Build(hashes);
+    if (!built.ok())
+      return built.status().WithMessagePrefix(
+          "logstore writer: cannot index the edges of " + path_ + ": ");
+    // Permute the metadata records into PHF-position order so the PHF
+    // position of an edge key IS its segment id — no value array, no
+    // indirection. Only footer record order changes; segment bytes and
+    // offsets are untouched.
+    auto phf = PhfView::Bind(built.value());
+    DSLOG_CHECK(phf.ok()) << phf.status().ToString();
+    std::vector<LogStore::SegmentInfo> permuted(segments_.size());
+    for (size_t i = 0; i < segments_.size(); ++i) {
+      const int64_t pos = phf.value().Lookup(hashes[i]);
+      DSLOG_CHECK(pos >= 0 && pos < static_cast<int64_t>(segments_.size()));
+      permuted[static_cast<size_t>(pos)] = std::move(segments_[i]);
     }
-    footer = EncodeFooterV4(arrays_, segments_, predictor_state_, phf_block);
-  } else {
-    footer = EncodeFooter(arrays_, segments_, predictor_state_);
+    segments_ = std::move(permuted);
+    phf_block = std::move(built).ValueOrDie();
   }
+  // The flat footer must start 8-aligned in the file (its records are read
+  // in place); pad the segment area out to a word boundary.
+  while ((base_offset_ + new_bytes_.size()) % 8 != 0)
+    new_bytes_.push_back('\0');
+  const std::string footer =
+      EncodeFooter(arrays_, segments_, predictor_state_, phf_block);
   const uint64_t footer_offset = base_offset_ + new_bytes_.size();
-  std::string trailer =
-      EncodeTrailer(footer_offset, footer, options_.footer_version);
+  std::string trailer = EncodeTrailer(footer_offset, footer);
 
   if (!appending_) {
     std::string file;

@@ -9,28 +9,26 @@
 //   | ...              |    v1 = ProvRC-GZip (compact, decode-to-owned)
 //   |                  |    v2 = PRC2 columnar (8-aligned; the on-disk
 //   |                  |         bytes are the kernels' scan format)
-//   +------------------+ footer_offset
-//   | footer           |  footer version 1-3: varint-coded — format
-//   |                  |  version, array catalog, edge index (names, op,
-//   |                  |  offset, length, FNV-64 checksum, layout, row
-//   |                  |  count, planner stats per segment), predictor blob
-//   |                  |
-//   |                  |  footer version 4 (8-aligned in the file): the
-//   |                  |  varint prelude (version, array catalog, predictor
-//   |                  |  blob), zero-padding to 8, then a flat index read
-//   |                  |  in place with zero deserialization —
+//   +------------------+ footer_offset (8-aligned)
+//   | footer           |  format version 4: a varint prelude (version,
+//   |                  |  array catalog, predictor blob), zero-padding to
+//   |                  |  8, then a flat index read in place with zero
+//   |                  |  deserialization —
 //   |                  |    u64 num_segments | u64 name_heap_size
 //   |                  |    | u64 phf_size
 //   |                  |    | fixed 88-byte segment records x num_segments
 //   |                  |    | name heap | pad to 8 | PHF block (common/phf)
-//   |                  |  Records sit in minimal-perfect-hash position
-//   |                  |  order: the PHF position of an edge key IS its
-//   |                  |  segment id, so an edge probe is hash -> PHF ->
-//   |                  |  one name memcmp, with no map ever materialized.
+//   |                  |  Records sit in perfect-hash position order: the
+//   |                  |  PHF position of an edge key IS its segment id, so
+//   |                  |  an edge probe is hash -> PHF -> one name memcmp,
+//   |                  |  with no map ever materialized.
 //   +------------------+ file_size - 20
 //   | trailer          |  fixed64 footer_offset | fixed64 footer checksum
 //   |                  |  | magic "DSLF"
 //   +------------------+ file_size
+//
+// Version 4 is the only format: any other footer version is Corruption,
+// and so is a store with segments but an empty PHF block.
 //
 // A reader maps the file once (mmap, with a whole-file read fallback) and
 // parses only the footer; segments resolve lazily on first touch through a
@@ -40,17 +38,14 @@
 // bytes decompressed, zero rows materialized (LogStoreStats counts both).
 // Segment checksums are verified at first touch (and the footer checksum
 // at open), turning any flipped byte or truncation into Status::Corruption
-// instead of UB. Version-4 footers checksum with the wide 8-byte-lane hash
-// (hash.h Hash64Wide) so open stays fast on million-edge catalogs; varint
-// footers keep the original byte-wise FNV for compatibility.
+// instead of UB. The footer checksum is the wide 8-byte-lane hash (hash.h
+// Hash64Wide) so open stays fast on million-edge catalogs.
 //
-// Edge lookup: a v4 reader binds a PhfView over the footer's PHF block —
+// Edge lookup: the reader binds a PhfView over the footer's PHF block —
 // O(1) per probe, the per-key fingerprint rejects absent edges before any
 // record or segment byte is read, and a candidate hit is confirmed against
 // the name heap so a false fingerprint match can never serve a wrong
-// segment. v1-v3 files (and v4 opened with use_phf_index=false) fall back
-// to an edge-name map built lazily on the first name lookup, so
-// stats()-only and id-addressed opens never pay for it.
+// segment.
 //
 // Thread-safety: LogStore is safe for concurrent readers. The decode cache
 // is lock-striped: segments map to cache_shards shards (id mod shard
@@ -93,8 +88,8 @@
 namespace dslog {
 
 /// Canonical map key for an edge in_arr -> out_arr, shared by the DSLog
-/// catalog, the legacy directory format, and the LogStoreWriter index —
-/// one scheme, so dedup/replace decisions always agree.
+/// catalog and the LogStoreWriter index — one scheme, so dedup/replace
+/// decisions always agree.
 inline std::string EdgeStoreKey(std::string_view in_arr,
                                 std::string_view out_arr) {
   std::string key;
@@ -106,7 +101,7 @@ inline std::string EdgeStoreKey(std::string_view in_arr,
 }
 
 /// FNV-64 of EdgeStoreKey(in_arr, out_arr) computed piecewise — no key
-/// string is ever materialized. This is the key hash the v4 PHF index is
+/// string is ever materialized. This is the key hash the PHF index is
 /// built over; writer and reader must agree on it byte for byte.
 inline uint64_t EdgeKeyHash(std::string_view in_arr,
                             std::string_view out_arr) {
@@ -116,7 +111,7 @@ inline uint64_t EdgeKeyHash(std::string_view in_arr,
 }
 
 /// Exact output-attribute-0 interval-column stats of a table — one strided
-/// pass. Writers stamp these into v3 footers so readers can plan θ-joins
+/// pass. Writers stamp these into the footer so readers can plan θ-joins
 /// against a segment without resolving it.
 IntervalColumnStats ComputeOut0Stats(const CompressedTable& table);
 
@@ -147,10 +142,6 @@ struct LogStoreOptions {
   /// on tiny budgets). Clamped to >= 1; 1 reproduces the old single-lock
   /// cache (contention tests sweep this).
   int cache_shards = 8;
-  /// Bind the v4 footer's minimal-perfect-hash edge index at Open. false
-  /// forces the lazy name-map fallback even on v4 files — compat testing
-  /// and a kill switch; results must be identical either way.
-  bool use_phf_index = true;
 };
 
 /// Decode/cache counters (test + bench observability). This is the
@@ -195,12 +186,12 @@ class LogStore {
     uint64_t length = 0;
     uint64_t checksum = 0;  // FNV-64 over the segment bytes
     SegmentLayout layout = SegmentLayout::kProvRcGzip;
-    int64_t row_count = -1;  // -1 = unknown (v1 footers predate the field)
-    /// Output-attribute-0 interval-column stats (v3 footers): the join
-    /// planner's cost-model inputs, readable without touching the segment
-    /// bytes. Invalid (default) on pre-v3 footers and on raw-shuttled
-    /// segments whose source had no stats — the planner then falls back
-    /// to the resolved index's exact stats.
+    int64_t row_count = -1;  // -1 = unknown
+    /// Output-attribute-0 interval-column stats: the join planner's
+    /// cost-model inputs, readable without touching the segment bytes.
+    /// Invalid (default) on raw-appended segments whose writer supplied no
+    /// stats — the planner then falls back to the resolved index's exact
+    /// stats.
     IntervalColumnStats out0_stats;
   };
 
@@ -222,12 +213,15 @@ class LogStore {
     return arrays_;
   }
 
-  /// Number of indexed segments. O(1) for every footer version.
+  /// The only footer version Open accepts (and Finish writes).
+  static constexpr uint32_t kFormatVersion = 4;
+
+  /// Number of indexed segments.
   size_t segment_count() const { return num_segments_; }
 
-  /// Metadata of segment `id` by value. v1-v3: a copy of the parsed entry.
-  /// v4: decoded on the fly from the footer's flat record (three short
-  /// string copies) — use the field-level accessors below on hot paths.
+  /// Metadata of segment `id` by value, decoded on the fly from the
+  /// footer's flat record (three short string copies) — use the
+  /// field-level accessors below on hot paths.
   SegmentInfo segment_info(size_t id) const;
 
   /// On-disk byte length of segment `id` without materializing names.
@@ -236,38 +230,22 @@ class LogStore {
   /// Join-planner stats of segment `id` without materializing names.
   IntervalColumnStats segment_out0_stats(size_t id) const;
 
-  /// All segment metadata. v1-v3: the eagerly parsed vector. v4: built on
-  /// first call (one pass over the flat records) — conversion, save and
-  /// inspect convenience, not a query path.
+  /// All segment metadata, built on first call (one pass over the flat
+  /// records) — save and inspect convenience, not a query path.
   const std::vector<SegmentInfo>& segments() const;
 
   /// Segment id of edge in_arr -> out_arr, or -1 when the store holds no
-  /// such edge. v4 + PHF: one hash, one O(1) PHF probe, one name memcmp —
-  /// the fingerprint rejects absent edges before any record bytes are
-  /// touched, and the name check means a fingerprint false positive can
-  /// never return a wrong segment. Fallback (v1-v3, or use_phf_index
-  /// false): an owned edge-name map built lazily on the first call.
+  /// such edge: one hash, one O(1) PHF probe, one name memcmp — the
+  /// fingerprint rejects absent edges before any record bytes are touched,
+  /// and the name check means a fingerprint false positive can never
+  /// return a wrong segment.
   Result<int64_t> FindSegmentId(std::string_view in_arr,
                                 std::string_view out_arr) const;
 
-  /// How edge lookups resolve on this store (observability: inspect tool,
-  /// benches).
-  enum class EdgeIndexKind { kPhf, kLazyMap };
-  EdgeIndexKind edge_index_kind() const {
-    return phf_enabled_ ? EdgeIndexKind::kPhf : EdgeIndexKind::kLazyMap;
-  }
-  /// Index size accounting; 0 bits/key on the map path (nothing on disk).
-  double index_bits_per_key() const {
-    return phf_enabled_ ? phf_.bits_per_key() : 0.0;
-  }
-  uint32_t index_fingerprint_bits() const {
-    return phf_enabled_ ? phf_.fingerprint_bits() : 0;
-  }
-  /// True once the lazy fallback name map exists (test hook: proves that
-  /// stats()-only and id-addressed opens never built it).
-  bool name_index_built() const {
-    return name_map_built_.load(std::memory_order_acquire);
-  }
+  /// Edge-index size accounting (inspect tool, benches); 0 on an empty
+  /// store.
+  double index_bits_per_key() const { return phf_.bits_per_key(); }
+  uint32_t index_fingerprint_bits() const { return phf_.fingerprint_bits(); }
 
   /// Serialized ReusePredictor state ("" when the file carries none).
   const std::string& predictor_state() const { return predictor_state_; }
@@ -290,13 +268,13 @@ class LogStore {
   /// call resolved (profiled queries thread it into their HopProfile).
   Result<PinnedTable> View(size_t id, ViewEvent* ev = nullptr) const;
 
-  /// The segment as an owned CompressedTable (bench/test hook and legacy
-  /// transcodes). v1 serves the cached decode; v2 materializes a fresh
-  /// owned copy per call — query code should use View().
+  /// The segment as an owned CompressedTable (bench/test hook). v1 serves
+  /// the cached decode; v2 materializes a fresh owned copy per call —
+  /// query code should use View().
   Result<std::shared_ptr<const CompressedTable>> Table(size_t id) const;
 
   /// Raw (still-serialized) bytes of segment `id` — zero-copy view into
-  /// the mapping. Lets converters/appenders shuttle segments without a
+  /// the mapping. Lets savers/appenders shuttle segments without a
   /// decode/re-encode round trip.
   std::string_view SegmentView(size_t id) const;
 
@@ -304,7 +282,6 @@ class LogStore {
 
   const std::string& path() const { return path_; }
   int64_t file_size() const { return static_cast<int64_t>(file_.size()); }
-  uint32_t format_version() const { return format_version_; }
   bool mapped() const { return file_.mapped(); }
 
  private:
@@ -365,41 +342,31 @@ class LogStore {
     return cache_shards_[id % num_cache_shards_];
   }
 
-  /// v4 flat-record field reads (memcpy-based: the heap-read fallback has
-  /// no alignment guarantee).
+  /// Flat-record field reads (memcpy-based: the heap-read fallback has no
+  /// alignment guarantee).
   uint64_t RecU64(size_t id, size_t field_offset) const;
   int64_t RecI64(size_t id, size_t field_offset) const;
   uint32_t RecU32(size_t id, size_t field_offset) const;
-  /// Name-heap views of a v4 record. false when the record's name extent
+  /// Name-heap views of a record. false when the record's name extent
   /// falls outside the heap — impossible on a checksum-verified footer,
   /// surfaced as Corruption rather than UB if it ever happens.
   bool SegNames(size_t id, std::string_view* in_arr, std::string_view* out_arr,
                 std::string_view* op_name) const;
-  /// Builds the lazy fallback name map (first name lookup only).
-  void BuildNameMap() const;
 
   std::string path_;
   MmapFile file_;
   LogStoreOptions options_;
-  uint32_t format_version_ = 0;
   std::map<std::string, std::vector<int64_t>> arrays_;
   size_t num_segments_ = 0;
-  /// v1-v3: filled at Open. v4: materialized lazily by segments() from the
-  /// flat records (guarded by segments_once_; immutable afterwards).
+  /// Materialized lazily by segments() from the flat records (guarded by
+  /// segments_once_; immutable afterwards).
   mutable std::vector<SegmentInfo> segments_;
   mutable std::once_flag segments_once_;
-  /// v4 footer views into the mapped file (empty on v1-v3).
+  /// Footer views into the mapped file.
   std::string_view seg_records_;
   std::string_view name_heap_;
-  /// Bound PHF edge index (v4 with use_phf_index; empty block -> disabled).
+  /// Bound PHF edge index (unbound, size 0, on an empty store).
   PhfView phf_;
-  bool phf_enabled_ = false;
-  /// Lazy fallback edge-name map: EdgeStoreKey -> segment id. Built at
-  /// most once, on the first name lookup that cannot go through the PHF.
-  mutable std::once_flag name_map_once_;
-  mutable std::unordered_map<std::string, size_t> name_map_;
-  mutable std::atomic<bool> name_map_built_{false};
-  mutable bool name_map_corrupt_ = false;  // set during BuildNameMap only
   std::string predictor_state_;
 
   /// Striped cache state. The array and shard count are fixed at Open
@@ -415,32 +382,17 @@ class LogStore {
   mutable std::vector<uint8_t> touched_;
 };
 
-struct LogStoreWriterOptions {
-  /// Footer version Finish() seals with. 4 (default) writes the flat
-  /// PHF-indexed footer; 3 writes the legacy varint footer for compat
-  /// testing and A/B benches. Reading is always version-agnostic.
-  uint32_t footer_version = 4;
-  /// Build the minimal-perfect-hash edge index into v4 footers. When off
-  /// (or if construction fails, e.g. a 64-bit key-hash collision) the
-  /// footer carries an empty PHF block and readers use the lazy map.
-  bool build_phf = true;
-};
-
 /// Write side: builds or extends a LogStore file.
 class LogStoreWriter {
  public:
   /// Starts a fresh store. Nothing exists at `path` until Finish(), which
   /// commits the whole file atomically (temp + rename).
-  static Result<LogStoreWriter> Create(std::string path,
-                                       const LogStoreWriterOptions& options = {});
+  static Result<LogStoreWriter> Create(std::string path);
 
   /// Opens an existing store for incremental append: prior arrays, edges,
   /// and predictor state are retained; new segments are written over the
   /// old footer and a fresh footer/trailer seals the file in Finish().
-  /// The sealed footer version is options.footer_version regardless of
-  /// what the file carried — appending to a v3 store reseals it as v4.
-  static Result<LogStoreWriter> OpenForAppend(
-      std::string path, const LogStoreWriterOptions& options = {});
+  static Result<LogStoreWriter> OpenForAppend(std::string path);
 
   /// Registers (or re-registers, idempotently) an array.
   void PutArray(const std::string& name, std::vector<int64_t> shape);
@@ -464,7 +416,7 @@ class LogStoreWriter {
                     SegmentLayout layout = SegmentLayout::kColumnar);
 
   /// Same, but with pre-serialized segment bytes in `layout` (e.g. another
-  /// store's SegmentView or a legacy gzip edge file) — no decode/re-encode.
+  /// store's SegmentView) — no decode/re-encode.
   /// `row_count` and `out0_stats` are carried into the footer (-1 = unknown
   /// count; default-invalid stats when the source carried none).
   Status AppendRawSegment(const std::string& in_arr,
@@ -478,7 +430,10 @@ class LogStoreWriter {
   /// Attaches the serialized reuse-predictor state ("" to clear).
   void SetPredictorState(std::string blob);
 
-  /// Writes footer + trailer and commits. The writer is spent afterwards.
+  /// Builds the PHF edge index, writes footer + trailer and commits. The
+  /// writer is spent afterwards. If the index cannot be built (two edge
+  /// keys share a 64-bit hash) Finish returns that error before writing
+  /// any byte, leaving the file at `path` as it was.
   Status Finish();
 
   int64_t segment_count() const {
@@ -488,7 +443,6 @@ class LogStoreWriter {
  private:
   LogStoreWriter() = default;
 
-  LogStoreWriterOptions options_;
   bool appending_ = false;
   std::string path_;
   uint64_t base_offset_ = 0;   // file offset where new_bytes_ lands

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/hash.h"
-#include "common/strings.h"
 #include "compress/varint.h"
 #include "provrc/serialize.h"
 
@@ -15,71 +13,6 @@ namespace {
 
 // Predictor-state blob format (versioned; see SerializeState).
 constexpr char kStateMagic[4] = {'R', 'P', 'S', '1'};
-// Sealed-index section appended after the legacy payload (optional).
-constexpr char kSealMagic[4] = {'S', 'E', 'A', 'L'};
-constexpr uint64_t kSealVersion = 1;
-
-// Signature keys are emitted piecewise through a sink so the same emitter
-// yields either the key string (StringSink, for map inserts) or its FNV-1a
-// hash (HashSink, for sealed lookups) with the invariant
-// HashSink(key pieces) == Hash64(StringSink(key pieces)) — FNV chains
-// byte-sequentially, so hashing the pieces under the running seed equals
-// hashing the concatenation.
-struct StringSink {
-  std::string* out;
-  void Append(std::string_view s) { out->append(s.data(), s.size()); }
-};
-
-struct HashSink {
-  uint64_t hash = kFnvOffset;
-  void Append(std::string_view s) { hash = Hash64(s, hash); }
-};
-
-template <typename Sink>
-void AppendDecimal(Sink& sink, uint64_t v) {
-  char buf[20];
-  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
-  sink.Append(std::string_view(buf, static_cast<size_t>(end - buf)));
-}
-
-template <typename Sink>
-void AppendDecimal(Sink& sink, int64_t v) {
-  char buf[21];
-  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
-  sink.Append(std::string_view(buf, static_cast<size_t>(end - buf)));
-}
-
-// Key formats are byte-identical to the historical string builders (they
-// are persisted inside base/dim/gen map keys of serialized state).
-template <typename Sink>
-void EmitGenKey(Sink& sink, const std::string& op_name, uint64_t args_hash) {
-  // Shape-bearing arguments stay in the key (they define the lineage
-  // pattern "up to pseudo-randomness", §VI.A).
-  sink.Append(op_name);
-  sink.Append("#");
-  AppendDecimal(sink, args_hash);
-}
-
-template <typename Sink>
-void EmitDimKey(Sink& sink, const std::string& op_name, uint64_t args_hash,
-                const std::vector<std::vector<int64_t>>& in_shapes) {
-  EmitGenKey(sink, op_name, args_hash);
-  for (const auto& shape : in_shapes) {
-    sink.Append("|");
-    for (size_t i = 0; i < shape.size(); ++i) {
-      if (i > 0) sink.Append(",");
-      AppendDecimal(sink, shape[i]);
-    }
-  }
-}
-
-template <typename Sink>
-void EmitBaseKey(Sink& sink, const std::string& op_name, uint64_t args_hash,
-                 uint64_t content_hash) {
-  EmitGenKey(sink, op_name, args_hash);
-  sink.Append("#");
-  AppendDecimal(sink, content_hash);
-}
 
 void PutTable(std::string* dst, const CompressedTable& table) {
   PutLengthPrefixed(dst, SerializeCompressedTable(table));
@@ -97,6 +30,26 @@ void PutShape(std::string* dst, const std::vector<int64_t>& shape) {
   for (int64_t d : shape) PutVarint64(dst, static_cast<uint64_t>(d));
 }
 
+/// Appends the decimal form of `v` (std::to_chars: no locale, no
+/// temporary string).
+template <typename Int>
+void AppendDecimal(std::string* out, Int v) {
+  char buf[24];
+  char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+// Key formats are persisted inside the serialized base/dim/gen maps, so
+// they must stay byte-stable across releases. Every key starts with the
+// gen key; shape-bearing arguments stay in it (they define the lineage
+// pattern "up to pseudo-randomness", §VI.A).
+void AppendGenKey(std::string* key, const std::string& op_name,
+                  uint64_t args_hash) {
+  key->append(op_name);
+  key->push_back('#');
+  AppendDecimal(key, args_hash);
+}
+
 bool GetShape(std::string_view src, size_t* pos, std::vector<int64_t>* out) {
   uint64_t n;
   if (!GetVarint64(src, pos, &n) || n > 64) return false;
@@ -111,7 +64,7 @@ bool GetShape(std::string_view src, size_t* pos, std::vector<int64_t>* out) {
 
 }  // namespace
 
-std::string ReusePredictor::SerializeState(bool seal) const {
+std::string ReusePredictor::SerializeState() const {
   std::string out;
   out.append(kStateMagic, 4);
   // Counters, in declaration order.
@@ -149,25 +102,6 @@ std::string ReusePredictor::SerializeState(bool seal) const {
     for (const auto& shape : entry.first_shapes) PutShape(&out, shape);
     PutShape(&out, entry.first_out_shape);
   }
-  if (!seal) return out;
-
-  // SEAL section: the perfect-hash lookup tables over the promoted
-  // entries, so a restore binds them instead of rebuilding. Reuses the
-  // live sealed indexes when valid; otherwise builds throwaway ones.
-  // Skipped entirely (legacy blob) if either map is unsealable.
-  SealedIndex<DimEntry> dim_local;
-  SealedIndex<GenEntry> gen_local;
-  const SealedIndex<DimEntry>* dim = &dim_sealed_;
-  if (!dim->valid)
-    dim = BuildSealedIndex(dim_sig_, &dim_local) ? &dim_local : nullptr;
-  const SealedIndex<GenEntry>* gen = &gen_sealed_;
-  if (!gen->valid)
-    gen = BuildSealedIndex(gen_sig_, &gen_local) ? &gen_local : nullptr;
-  if (dim == nullptr || gen == nullptr) return out;
-  out.append(kSealMagic, 4);
-  PutVarint64(&out, kSealVersion);
-  AppendSealedIndex(&out, dim_sig_, *dim);
-  AppendSealedIndex(&out, gen_sig_, *gen);
   return out;
 }
 
@@ -256,27 +190,16 @@ Status ReusePredictor::RestoreState(std::string_view blob) {
     restored.gen_sig_[std::move(key)] = std::move(entry);
   }
 
-  // Trailing SEAL section (newer blobs): bind the persisted sealed
-  // indexes, failing loudly if they don't match the restored maps. Other
-  // trailing bytes are ignored as before (forward compatibility), and a
-  // legacy blob is sealed in memory so promoted lookups go through the
-  // PHF either way.
-  if (blob.size() - pos >= 4 &&
-      std::memcmp(blob.data() + pos, kSealMagic, 4) == 0) {
-    pos += 4;
-    uint64_t version;
-    if (!GetVarint64(blob, &pos, &version) || version != kSealVersion)
-      return Status::Corruption("predictor state: seal version");
-    DSLOG_RETURN_IF_ERROR(ParseSealedIndex(blob, &pos, restored.dim_sig_,
-                                           &restored.dim_sealed_));
-    DSLOG_RETURN_IF_ERROR(ParseSealedIndex(blob, &pos, restored.gen_sig_,
-                                           &restored.gen_sealed_));
-  } else {
-    restored.Seal();
-  }
-
   *this = std::move(restored);
   return Status::OK();
+}
+
+std::string ReusePredictor::GenKey(const std::string& op_name,
+                                   uint64_t args_hash) {
+  std::string key;
+  key.reserve(op_name.size() + 21);
+  AppendGenKey(&key, op_name, args_hash);
+  return key;
 }
 
 std::string ReusePredictor::DimKey(
@@ -284,17 +207,14 @@ std::string ReusePredictor::DimKey(
     const std::vector<std::vector<int64_t>>& in_shapes) {
   std::string key;
   key.reserve(op_name.size() + 21 + 21 * in_shapes.size());
-  StringSink sink{&key};
-  EmitDimKey(sink, op_name, args_hash, in_shapes);
-  return key;
-}
-
-std::string ReusePredictor::GenKey(const std::string& op_name,
-                                   uint64_t args_hash) {
-  std::string key;
-  key.reserve(op_name.size() + 21);
-  StringSink sink{&key};
-  EmitGenKey(sink, op_name, args_hash);
+  AppendGenKey(&key, op_name, args_hash);
+  for (const auto& shape : in_shapes) {
+    key.push_back('|');
+    for (size_t i = 0; i < shape.size(); ++i) {
+      if (i > 0) key.push_back(',');
+      AppendDecimal(&key, shape[i]);
+    }
+  }
   return key;
 }
 
@@ -303,117 +223,10 @@ std::string ReusePredictor::BaseKey(const std::string& op_name,
                                     uint64_t content_hash) {
   std::string key;
   key.reserve(op_name.size() + 42);
-  StringSink sink{&key};
-  EmitBaseKey(sink, op_name, args_hash, content_hash);
+  AppendGenKey(&key, op_name, args_hash);
+  key.push_back('#');
+  AppendDecimal(&key, content_hash);
   return key;
-}
-
-template <typename Entry>
-bool ReusePredictor::BuildSealedIndex(const std::map<std::string, Entry>& sig,
-                                      SealedIndex<Entry>* out) {
-  std::vector<uint64_t> hashes;
-  std::vector<const Entry*> promoted;
-  for (const auto& [key, entry] : sig) {
-    if (entry.state != State::kPromoted) continue;
-    hashes.push_back(Hash64(key));
-    promoted.push_back(&entry);
-  }
-  auto block = PhfBuilder::Build(hashes);
-  if (!block.ok()) return false;  // distinct keys collided at 64 bits
-  SealedIndex<Entry> built;
-  built.phf_block = std::move(block).ValueOrDie();
-  auto view = PhfView::Bind(built.phf_block);
-  if (!view.ok()) return false;
-  built.view = view.ValueOrDie();
-  built.hashes.resize(hashes.size());
-  built.entries.resize(hashes.size());
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    const int64_t pos = built.view.Lookup(hashes[i]);
-    if (pos < 0 || pos >= static_cast<int64_t>(hashes.size())) return false;
-    built.hashes[static_cast<size_t>(pos)] = hashes[i];
-    built.entries[static_cast<size_t>(pos)] = promoted[i];
-  }
-  built.valid = true;
-  *out = std::move(built);
-  return true;
-}
-
-template <typename Entry>
-void ReusePredictor::AppendSealedIndex(std::string* out,
-                                       const std::map<std::string, Entry>& sig,
-                                       const SealedIndex<Entry>& sealed) {
-  std::map<const Entry*, uint64_t> ordinals;
-  uint64_t ordinal = 0;
-  for (const auto& [key, entry] : sig) ordinals[&entry] = ordinal++;
-  PutVarint64(out, sealed.hashes.size());
-  for (size_t i = 0; i < sealed.hashes.size(); ++i) {
-    PutFixed64(out, sealed.hashes[i]);
-    PutVarint64(out, ordinals.at(sealed.entries[i]));
-  }
-  PutLengthPrefixed(out, sealed.phf_block);
-}
-
-template <typename Entry>
-Status ReusePredictor::ParseSealedIndex(
-    std::string_view blob, size_t* pos,
-    const std::map<std::string, Entry>& sig, SealedIndex<Entry>* out) {
-  uint64_t n;
-  if (!GetVarint64(blob, pos, &n) || n > sig.size())
-    return Status::Corruption("predictor state: seal slot count");
-  std::vector<const std::string*> keys;
-  std::vector<const Entry*> slots;
-  uint64_t num_promoted = 0;
-  keys.reserve(sig.size());
-  slots.reserve(sig.size());
-  for (const auto& [key, entry] : sig) {
-    keys.push_back(&key);
-    slots.push_back(&entry);
-    if (entry.state == State::kPromoted) ++num_promoted;
-  }
-  // The seal must cover the promoted set exactly: a partial seal would
-  // silently turn promoted mappings into misses.
-  if (n != num_promoted)
-    return Status::Corruption("predictor state: seal/promoted mismatch");
-  SealedIndex<Entry> built;
-  built.hashes.resize(n);
-  built.entries.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t hash, ordinal;
-    if (!GetFixed64(blob, pos, &hash) || !GetVarint64(blob, pos, &ordinal) ||
-        ordinal >= slots.size())
-      return Status::Corruption("predictor state: seal slot");
-    if (slots[ordinal]->state != State::kPromoted ||
-        Hash64(*keys[ordinal]) != hash)
-      return Status::Corruption("predictor state: seal slot mismatch");
-    built.hashes[i] = hash;
-    built.entries[i] = slots[ordinal];
-  }
-  std::string block;
-  if (!GetLengthPrefixed(blob, pos, &block))
-    return Status::Corruption("predictor state: seal phf block");
-  built.phf_block = std::move(block);
-  auto view = PhfView::Bind(built.phf_block);
-  if (!view.ok()) return view.status();
-  built.view = std::move(view).ValueOrDie();
-  if (built.view.size() != n)
-    return Status::Corruption("predictor state: seal phf size");
-  for (uint64_t i = 0; i < n; ++i)
-    if (built.view.Lookup(built.hashes[i]) != static_cast<int64_t>(i))
-      return Status::Corruption("predictor state: seal phf inconsistent");
-  built.valid = true;
-  *out = std::move(built);
-  return Status::OK();
-}
-
-void ReusePredictor::Seal() {
-  Unseal();
-  BuildSealedIndex(dim_sig_, &dim_sealed_);
-  BuildSealedIndex(gen_sig_, &gen_sealed_);
-}
-
-void ReusePredictor::Unseal() {
-  dim_sealed_ = SealedIndex<DimEntry>();
-  gen_sealed_ = SealedIndex<GenEntry>();
 }
 
 std::vector<CompressedTable> ReusePredictor::Predict(
@@ -421,34 +234,17 @@ std::vector<CompressedTable> ReusePredictor::Predict(
     const std::vector<std::vector<int64_t>>& in_shapes,
     const std::vector<int64_t>& out_shape) const {
   const uint64_t args_hash = args.Hash();
-  const DimEntry* dim = nullptr;
-  if (dim_sealed_.valid) {
-    // Sealed path: stream the key through the hash — no string, no map
-    // walk; the PHF answers hit and miss alike in O(1).
-    HashSink sink;
-    EmitDimKey(sink, op_name, args_hash, in_shapes);
-    dim = dim_sealed_.Find(sink.hash);
-  } else {
-    auto dim_it = dim_sig_.find(DimKey(op_name, args_hash, in_shapes));
-    if (dim_it != dim_sig_.end() && dim_it->second.state == State::kPromoted)
-      dim = &dim_it->second;
-  }
-  if (dim != nullptr) return dim->tables;
+  auto dim_it = dim_sig_.find(DimKey(op_name, args_hash, in_shapes));
+  if (dim_it != dim_sig_.end() && dim_it->second.state == State::kPromoted)
+    return dim_it->second.tables;
 
-  const GenEntry* gen = nullptr;
-  if (gen_sealed_.valid) {
-    HashSink sink;
-    EmitGenKey(sink, op_name, args_hash);
-    gen = gen_sealed_.Find(sink.hash);
-  } else {
-    auto gen_it = gen_sig_.find(GenKey(op_name, args_hash));
-    if (gen_it != gen_sig_.end() && gen_it->second.state == State::kPromoted)
-      gen = &gen_it->second;
-  }
-  if (gen != nullptr && gen->tables.size() <= in_shapes.size()) {
+  auto gen_it = gen_sig_.find(GenKey(op_name, args_hash));
+  if (gen_it != gen_sig_.end() && gen_it->second.state == State::kPromoted &&
+      gen_it->second.tables.size() <= in_shapes.size()) {
+    const GenEntry& gen = gen_it->second;
     std::vector<CompressedTable> tables;
-    for (size_t i = 0; i < gen->tables.size(); ++i) {
-      auto t = gen->tables[i].Instantiate(out_shape, in_shapes[i]);
+    for (size_t i = 0; i < gen.tables.size(); ++i) {
+      auto t = gen.tables[i].Instantiate(out_shape, in_shapes[i]);
       if (!t.ok()) return {};
       tables.push_back(std::move(t).ValueOrDie());
     }
@@ -478,9 +274,6 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
   }
 
   // ---- dim_sig: shape-based reuse. ---------------------------------------
-  // Promotions and demotions change the promoted set, so they invalidate
-  // the sealed indexes; plain inserts don't (std::map nodes are stable and
-  // a tentative entry is invisible to sealed lookups).
   std::string dim_key = DimKey(op_name, args_hash, in_shapes);
   auto [dim_it, dim_new] = dim_sig_.try_emplace(dim_key);
   DimEntry& dim = dim_it->second;
@@ -491,7 +284,6 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
       case State::kTentative:
         if (dim.tables == tables) {
           dim.state = State::kPromoted;
-          Unseal();
           ++stats_.dim_promotions;
           outcome.dim_hit = true;
           ++stats_.dim_hits;
@@ -507,7 +299,6 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
         } else {
           ++stats_.mispredictions;
           dim.state = State::kRejected;
-          Unseal();
         }
         break;
       case State::kRejected:
@@ -540,7 +331,6 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
         if (different_shape) {
           if (verify()) {
             gen.state = State::kPromoted;
-            Unseal();
             ++stats_.gen_promotions;
             outcome.gen_hit = true;
             ++stats_.gen_hits;
@@ -558,7 +348,6 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
         } else {
           ++stats_.mispredictions;
           gen.state = State::kRejected;
-          Unseal();
         }
         break;
       case State::kRejected:

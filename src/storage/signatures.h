@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "array/op.h"
-#include "common/phf.h"
 #include "common/status.h"
 #include "provrc/compressed_table.h"
 #include "provrc/reshape.h"
@@ -45,24 +44,8 @@ struct ReuseOutcome {
 /// prediction. One instance per DSLog catalog; Predict and
 /// ProcessRegistration are always called under the catalog's exclusive
 /// lock, so the predictor itself takes none.
-///
-/// Promoted dim/gen signatures can additionally be *sealed*: a perfect
-/// hash (common/phf.h) over the promoted keys' 64-bit hashes, built
-/// when state is restored from a persisted blob (or carried inside the blob
-/// itself). A sealed Predict never materializes a key string — it streams
-/// the key bytes through the hash and probes the PHF, so a lookup (hit or
-/// miss) is O(key length) with zero allocation. The first
-/// promotion-state change after sealing drops back to the ordinary map
-/// index. Movable, not copyable (the sealed indexes hold pointers into the
-/// signature maps).
 class ReusePredictor {
  public:
-  ReusePredictor() = default;
-  ReusePredictor(ReusePredictor&&) = default;
-  ReusePredictor& operator=(ReusePredictor&&) = default;
-  ReusePredictor(const ReusePredictor&) = delete;
-  ReusePredictor& operator=(const ReusePredictor&) = delete;
-
   /// Processes a registration of `op_name(args)` whose captured, compressed
   /// lineage tables (one per input array) are `tables`. `in_shapes` are
   /// the input array shapes; `content_hash` identifies exact input content
@@ -85,25 +68,15 @@ class ReusePredictor {
   const ReuseStats& stats() const { return stats_; }
 
   /// Serializes the full predictor state (signature stores, promotion
-  /// states, counters) into a self-describing binary blob, so persistence
-  /// layers can restore reuse behaviour across process restarts. With
-  /// `seal` set (the default) a SEAL section — the perfect-hash lookup
-  /// tables over the promoted signatures — is appended after the legacy
-  /// payload; readers that predate sealing ignore trailing bytes, so the
-  /// blob stays backward compatible. seal = false reproduces the legacy
-  /// RPS1 bytes exactly.
-  std::string SerializeState(bool seal = true) const;
+  /// states, counters) into a self-describing binary blob ("RPS1"), so
+  /// persistence layers can restore reuse behaviour across process
+  /// restarts.
+  std::string SerializeState() const;
 
   /// Inverse of SerializeState: replaces this predictor's state with the
   /// decoded blob. Returns Corruption on malformed input (state unchanged
-  /// on failure). A blob carrying a SEAL section binds it directly; a
-  /// legacy blob is sealed in memory after the restore, so either way the
-  /// restored predictor answers promoted lookups through the PHF.
+  /// on failure). Bytes after the RPS1 payload are ignored.
   Status RestoreState(std::string_view blob);
-
-  /// True when promoted dim and gen lookups are served by the sealed
-  /// perfect-hash indexes (test/inspect hook).
-  bool sealed() const { return dim_sealed_.valid && gen_sealed_.valid; }
 
  private:
   enum class State { kTentative, kPromoted, kRejected };
@@ -121,65 +94,15 @@ class ReusePredictor {
     std::vector<int64_t> first_out_shape;
   };
 
-  /// One sealed signature map: a PHF over the promoted entries' key
-  /// hashes, plus the full 64-bit hash and entry pointer per PHF position.
-  /// Find confirms a candidate position against the stored 64-bit hash, so
-  /// a wrong entry requires a full Hash64 collision between distinct keys
-  /// (~2^-64 per probe; the keys are not attacker-controlled). Entry
-  /// pointers stay valid across map insertions (std::map nodes are
-  /// stable); promotion-state changes invalidate the seal instead.
-  template <typename Entry>
-  struct SealedIndex {
-    bool valid = false;
-    std::string phf_block;  // heap-allocated (>= 48 bytes): stable on move
-    PhfView view;
-    std::vector<uint64_t> hashes;       // PHF-position order
-    std::vector<const Entry*> entries;  // PHF-position order
-    const Entry* Find(uint64_t key_hash) const {
-      if (!valid) return nullptr;
-      const int64_t pos = view.Lookup(key_hash);
-      if (pos < 0 || hashes[static_cast<size_t>(pos)] != key_hash)
-        return nullptr;
-      return entries[static_cast<size_t>(pos)];
-    }
-  };
-
   static std::string DimKey(const std::string& op_name, uint64_t args_hash,
                             const std::vector<std::vector<int64_t>>& in_shapes);
   static std::string GenKey(const std::string& op_name, uint64_t args_hash);
   static std::string BaseKey(const std::string& op_name, uint64_t args_hash,
                              uint64_t content_hash);
 
-  /// (Re)builds both sealed indexes from the current maps. No-op failure:
-  /// an unsealable map (duplicate 64-bit key hashes) stays on the map path.
-  void Seal();
-  void Unseal();
-
-  /// Builds one map's sealed index; false (out untouched) when the
-  /// promoted keys cannot be perfect-hashed.
-  template <typename Entry>
-  static bool BuildSealedIndex(const std::map<std::string, Entry>& sig,
-                               SealedIndex<Entry>* out);
-  /// Appends one sealed index to a state blob: slot count, then per PHF
-  /// position the key hash (fixed64) + the entry's ordinal in `sig`'s
-  /// iteration order (varint), then the length-prefixed PHF block.
-  template <typename Entry>
-  static void AppendSealedIndex(std::string* out,
-                                const std::map<std::string, Entry>& sig,
-                                const SealedIndex<Entry>& sealed);
-  /// Inverse of AppendSealedIndex, cross-checked against the restored map
-  /// (ordinals in range, sealed entries promoted, hashes match the keys,
-  /// PHF consistent). Corruption on any mismatch.
-  template <typename Entry>
-  static Status ParseSealedIndex(std::string_view blob, size_t* pos,
-                                 const std::map<std::string, Entry>& sig,
-                                 SealedIndex<Entry>* out);
-
   std::map<std::string, std::vector<CompressedTable>> base_sig_;
   std::map<std::string, DimEntry> dim_sig_;
   std::map<std::string, GenEntry> gen_sig_;
-  SealedIndex<DimEntry> dim_sealed_;
-  SealedIndex<GenEntry> gen_sealed_;
   ReuseStats stats_;
 };
 

@@ -1,5 +1,5 @@
 // LogStore subsystem tests: the single-file on-disk format (round trip,
-// incremental append, legacy-directory conversion), the lazy in-situ query
+// incremental append, the perfect-hash edge index), the lazy in-situ query
 // path (decode counters, LRU bounds, concurrent readers), the mmap
 // abstraction with its read fallback, and corruption handling (flipped
 // segment bytes, truncated footers — every failure must surface as
@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -14,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "array/ndarray.h"
-#include "array/op_registry.h"
 #include "common/hash.h"
 #include "common/io.h"
 #include "common/mmap_file.h"
@@ -462,48 +461,6 @@ TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {
   EXPECT_FALSE(store.value()->Table(7).ok());  // out of range
 }
 
-TEST(LogStoreTest, ConvertedLegacyDirectoryServesQueriesAndPredictor) {
-  // Promote a dim_sig mapping, save legacy, convert, and check both the
-  // lineage and the reuse state crossed over.
-  DSLog log;
-  Rng rng(71);
-  const ArrayOp* neg = OpRegistry::Global().Find("negative");
-  for (int call = 0; call < 2; ++call) {
-    std::string x = "cx" + std::to_string(call);
-    std::string y = "cy" + std::to_string(call);
-    ASSERT_TRUE(log.DefineArray(x, {24}).ok());
-    ASSERT_TRUE(log.DefineArray(y, {24}).ok());
-    NDArray xv = NDArray::Random({24}, &rng);
-    NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
-    auto rels = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
-    OperationRegistration reg{"negative", {x}, y, {rels[0]}, OpArgs(),
-                              xv.ContentHash(), true};
-    ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
-  }
-  ASSERT_EQ(log.reuse_stats().dim_promotions, 1);
-
-  const std::string dir = TestPath("convert_dir");
-  const std::string path = TestPath("converted.dsl");
-  ASSERT_TRUE(log.Save(dir).ok());
-  ASSERT_TRUE(ConvertLegacyDirToLogStore(dir, path).ok());
-
-  auto opened = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  DSLog& insitu = opened.value();
-  auto got = insitu.ProvQuery({"cy0", "cx0"}, BoxTable::FromCells(1, {4}));
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{4}));
-  EXPECT_EQ(insitu.reuse_stats().dim_promotions, 1);
-
-  // The restored predictor serves a third call without capture.
-  ASSERT_TRUE(insitu.DefineArray("cx2", {24}).ok());
-  ASSERT_TRUE(insitu.DefineArray("cy2", {24}).ok());
-  OperationRegistration reg{"negative", {"cx2"}, "cy2", {}, OpArgs(), 0, true};
-  auto outcome = insitu.RegisterOperation(std::move(reg));
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_TRUE(outcome.value().dim_hit);
-}
-
 // -------------------------------------------------------------- corruption --
 
 TEST(LogStoreCorruptionTest, FlippedSegmentByteIsDetectedAtDecode) {
@@ -618,6 +575,20 @@ TEST(LogStoreCorruptionTest, TruncationsAndGarbageAreCorruption) {
   ASSERT_TRUE(log.SaveLogStore(path).ok());
   const std::string intact = ReadFileToString(path).ValueOrDie();
 
+  // Rebuilds a file around a replacement footer with a valid trailer (wide
+  // checksum recomputed), so only the footer's content can reject it.
+  size_t tpos = intact.size() - 20;
+  uint64_t footer_offset = 0;
+  ASSERT_TRUE(GetFixed64(intact, &tpos, &footer_offset));
+  const std::string footer =
+      intact.substr(footer_offset, intact.size() - 20 - footer_offset);
+  auto with_footer = [&](const std::string& new_footer) {
+    std::string file = intact.substr(0, footer_offset) + new_footer;
+    PutFixed64(&file, footer_offset);
+    PutFixed64(&file, Hash64Wide(new_footer));
+    return file + "DSLF";
+  };
+
   auto expect_corruption = [&](std::string mutated, const char* label) {
     const std::string mutated_path = TestPath("corrupt_variant.dsl");
     ASSERT_TRUE(WriteFile(mutated_path, std::move(mutated)).ok());
@@ -645,27 +616,63 @@ TEST(LogStoreCorruptionTest, TruncationsAndGarbageAreCorruption) {
         static_cast<uint8_t>(bad[bad.size() - 30]) ^ 0xFF);
     expect_corruption(std::move(bad), "footer byte flip");
   }
+  // A footer of any version but 4, even with a valid checksum.
+  {
+    std::string v3 = footer;
+    ASSERT_EQ(v3[0], 4);
+    v3[0] = 3;
+    expect_corruption(with_footer(v3), "footer version 3");
+  }
+  // Segments but no PHF block: walk the varint prelude (version, arrays,
+  // predictor blob) to the 8-aligned index header, zero its phf_size and
+  // drop the block that ends the footer.
+  {
+    size_t pos = 1;  // the one-byte version varint
+    uint64_t num_arrays = 0;
+    ASSERT_TRUE(GetVarint64(footer, &pos, &num_arrays));
+    for (uint64_t i = 0; i < num_arrays; ++i) {
+      std::string name;
+      uint64_t ndim = 0, dim = 0;
+      ASSERT_TRUE(GetLengthPrefixed(footer, &pos, &name));
+      ASSERT_TRUE(GetVarint64(footer, &pos, &ndim));
+      for (uint64_t d = 0; d < ndim; ++d)
+        ASSERT_TRUE(GetVarint64(footer, &pos, &dim));
+    }
+    std::string predictor;
+    ASSERT_TRUE(GetLengthPrefixed(footer, &pos, &predictor));
+    pos = (pos + 7) & ~size_t{7};
+    uint64_t num_segments = 0, phf_size = 0;
+    std::memcpy(&num_segments, footer.data() + pos, 8);
+    std::memcpy(&phf_size, footer.data() + pos + 16, 8);
+    ASSERT_EQ(num_segments, 3u);
+    ASSERT_GT(phf_size, 0u);
+    std::string no_phf = footer.substr(0, footer.size() - phf_size);
+    std::memset(no_phf.data() + pos + 16, 0, 8);
+    expect_corruption(with_footer(no_phf), "segments without a PHF block");
+  }
   // The original still opens.
   EXPECT_TRUE(DSLog::OpenInSitu(path).ok());
 }
 
 TEST(LogStoreCorruptionTest, OverflowingFooterVarintIsCorruption) {
   // Hand-crafted file whose footer *checksum is valid* but whose
-  // array-count varint is a ten-byte encoding overflowing uint64. The old
-  // decoder silently wrapped it to 0 and then "successfully" parsed the
-  // rest, opening an empty store from a corrupt footer; the decoder must
-  // reject the overflow as Corruption instead.
+  // array-count varint is a ten-byte encoding overflowing uint64. A
+  // decoder that wrapped it to 0 would "successfully" parse the rest — an
+  // empty predictor blob and an all-zero index header — and open an empty
+  // store from a corrupt footer; the decoder must reject the overflow as
+  // Corruption instead.
   std::string footer;
-  PutVarint64(&footer, 3);     // format version
+  PutVarint64(&footer, 4);     // format version
   footer.append(9, '\x80');    // continuation bytes up to shift 63
   footer.push_back('\x02');    // 10th byte: bit 64 set -> overflow -> "0"
-  PutVarint64(&footer, 0);     // num_segments (parses fine after the wrap)
   PutVarint64(&footer, 0);     // predictor-state length
+  footer.resize(16, '\0');     // pad the prelude to 8
+  footer.append(24, '\0');     // no segments, empty heap, empty PHF block
   std::string file("DSLSTOR1");
-  const uint64_t footer_offset = file.size();
+  const uint64_t footer_offset = file.size();  // 8-aligned
   file += footer;
   PutFixed64(&file, footer_offset);
-  PutFixed64(&file, Hash64(footer));  // checksum must NOT mask the varint
+  PutFixed64(&file, Hash64Wide(footer));  // checksum must NOT mask the varint
   file += "DSLF";
   const std::string path = TestPath("overflow_varint.dsl");
   ASSERT_TRUE(WriteFile(path, file).ok());
@@ -676,15 +683,13 @@ TEST(LogStoreCorruptionTest, OverflowingFooterVarintIsCorruption) {
 }
 
 TEST(LogStoreTest, V3FooterCarriesSegmentStats) {
+  // Each footer segment record carries the segment's planner stats.
   DSLog log;
   BuildChain(&log, 0, 2, 32);
-  const std::string path = TestPath("stats_v3.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(path, SegmentLayout::kColumnar, v3).ok());
+  const std::string path = TestPath("segment_stats.dsl");
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 3u);
   ASSERT_EQ(store.value()->segments().size(), 2u);
   for (size_t id = 0; id < store.value()->segments().size(); ++id) {
     const LogStore::SegmentInfo& seg = store.value()->segments()[id];
@@ -717,14 +722,11 @@ TEST(LogStoreV4Test, RoundTripBindsPerfectHashIndex) {
 
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 4u);
-  EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
   EXPECT_GT(store.value()->index_bits_per_key(), 0.0);
   EXPECT_EQ(store.value()->index_fingerprint_bits(), 8u);
 
   // Every stored edge resolves to the segment carrying its names; absent
-  // edges resolve to -1. Neither direction builds the fallback name map or
-  // touches segment bytes.
+  // edges resolve to -1. Neither direction touches segment bytes.
   for (size_t id = 0; id < store.value()->segment_count(); ++id) {
     const LogStore::SegmentInfo seg = store.value()->segment_info(id);
     auto found = store.value()->FindSegmentId(seg.in_arr, seg.out_arr);
@@ -734,117 +736,7 @@ TEST(LogStoreV4Test, RoundTripBindsPerfectHashIndex) {
     ASSERT_TRUE(missing.ok());
     EXPECT_EQ(missing.value(), -1);
   }
-  EXPECT_FALSE(store.value()->name_index_built());
   EXPECT_EQ(store.value()->stats().decode_count, 0);
-}
-
-TEST(LogStoreV4Test, PhfDisabledReaderServesIdenticalResults) {
-  DSLog log;
-  BuildChain(&log, 0, 5, 16);
-  const std::string path = TestPath("phf_kill_switch.dsl");
-  ASSERT_TRUE(log.SaveLogStore(path).ok());
-
-  // Same v4 file, PHF kill switch on: lazy-map fallback, same answers.
-  LogStoreOptions no_phf;
-  no_phf.use_phf_index = false;
-  auto fallback = LogStore::Open(path, no_phf);
-  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_EQ(fallback.value()->format_version(), 4u);
-  EXPECT_EQ(fallback.value()->edge_index_kind(),
-            LogStore::EdgeIndexKind::kLazyMap);
-  EXPECT_EQ(fallback.value()->index_bits_per_key(), 0.0);
-  auto phf = LogStore::Open(path);
-  ASSERT_TRUE(phf.ok());
-  for (size_t id = 0; id < phf.value()->segment_count(); ++id) {
-    const LogStore::SegmentInfo seg = phf.value()->segment_info(id);
-    auto a = phf.value()->FindSegmentId(seg.in_arr, seg.out_arr);
-    auto b = fallback.value()->FindSegmentId(seg.in_arr, seg.out_arr);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value(), b.value());
-  }
-  EXPECT_TRUE(fallback.value()->name_index_built());
-
-  // A v4 file written without the index opens on the map path too.
-  DSLog log2;
-  BuildChain(&log2, 0, 3, 16);
-  const std::string bare = TestPath("phf_not_written.dsl");
-  LogStoreWriterOptions no_build;
-  no_build.build_phf = false;
-  ASSERT_TRUE(log2.SaveLogStore(bare, SegmentLayout::kColumnar, no_build).ok());
-  auto opened = LogStore::Open(bare);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value()->format_version(), 4u);
-  EXPECT_EQ(opened.value()->edge_index_kind(),
-            LogStore::EdgeIndexKind::kLazyMap);
-  auto found = opened.value()->FindSegmentId("a0", "a1");
-  ASSERT_TRUE(found.ok());
-  EXPECT_GE(found.value(), 0);
-}
-
-TEST(LogStoreV4Test, V3StoreOpensOnMapPathWithSameAnswers) {
-  DSLog log;
-  BuildChain(&log, 0, 4, 16);
-  const std::string v3_path = TestPath("compat_v3.dsl");
-  const std::string v4_path = TestPath("compat_v4.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(v3_path, SegmentLayout::kColumnar, v3).ok());
-  ASSERT_TRUE(log.SaveLogStore(v4_path).ok());
-
-  auto old_store = LogStore::Open(v3_path);
-  ASSERT_TRUE(old_store.ok()) << old_store.status().ToString();
-  EXPECT_EQ(old_store.value()->format_version(), 3u);
-  EXPECT_EQ(old_store.value()->edge_index_kind(),
-            LogStore::EdgeIndexKind::kLazyMap);
-
-  // Both versions of the same catalog answer identically, lookups and
-  // queries alike.
-  auto a = DSLog::OpenInSitu(v3_path);
-  auto b = DSLog::OpenInSitu(v4_path);
-  ASSERT_TRUE(a.ok() && b.ok());
-  for (bool backward : {true, false}) {
-    const auto path = backward ? ChainPath(4, 0) : ChainPath(0, 4);
-    auto ra = a.value().ProvQuery(path, BoxTable::FromCells(1, {3}));
-    auto rb = b.value().ProvQuery(path, BoxTable::FromCells(1, {3}));
-    ASSERT_TRUE(ra.ok() && rb.ok())
-        << ra.status().ToString() << " / " << rb.status().ToString();
-    EXPECT_EQ(ToTupleSet(ra.value().ExpandToCells(), 1),
-              ToTupleSet(rb.value().ExpandToCells(), 1));
-  }
-}
-
-TEST(LogStoreV4Test, AppendResealsV3StoreAsV4) {
-  DSLog log;
-  BuildChain(&log, 0, 3, 16);
-  const std::string path = TestPath("reseal_v3_to_v4.dsl");
-  LogStoreWriterOptions v3;
-  v3.footer_version = 3;
-  ASSERT_TRUE(log.SaveLogStore(path, SegmentLayout::kColumnar, v3).ok());
-
-  // Extend the chain and append with default writer options: the store is
-  // resealed under the v4 footer, old segments intact, index over all edges.
-  auto reopened = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  BuildChain(&reopened.value(), 3, 2, 16);
-  ASSERT_TRUE(reopened.value().AppendLogStore(path).ok());
-
-  auto store = LogStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->format_version(), 4u);
-  EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
-  EXPECT_EQ(store.value()->segment_count(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    auto found = store.value()->FindSegmentId("a" + std::to_string(i),
-                                              "a" + std::to_string(i + 1));
-    ASSERT_TRUE(found.ok());
-    EXPECT_GE(found.value(), 0) << "edge a" << i << " -> a" << i + 1;
-  }
-  // End-to-end over the resealed file.
-  auto full = DSLog::OpenInSitu(path);
-  ASSERT_TRUE(full.ok());
-  auto r = full.value().ProvQuery(ChainPath(5, 0), BoxTable::FromCells(1, {7}));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().ExpandToCells(), (std::vector<int64_t>{7}));
 }
 
 TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
@@ -855,7 +747,7 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
   CompressedTable table = ProvRcCompress(IdentityRelation(4));
   const std::string bytes = SerializeCompressedTableColumnar(table);
   const IntervalColumnStats stats = ComputeOut0Stats(table);
-  auto writer = LogStoreWriter::Create(path, {});
+  auto writer = LogStoreWriter::Create(path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   constexpr int kEdges = 2048;
   writer.value().PutArray("hub", {4});
@@ -872,7 +764,6 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
 
   auto store = LogStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(store.value()->edge_index_kind(), LogStore::EdgeIndexKind::kPhf);
   EXPECT_LE(store.value()->index_bits_per_key(), 16.0);
   // v4 stores segments in PHF-position order, so the id is arbitrary; it
   // must resolve to the segment carrying the probed names.
@@ -903,7 +794,6 @@ TEST(LogStoreV4Test, NegativeProbesTouchNoSegmentBytes) {
   }
   std::shared_ptr<const LogStore> store = opened.value().log_store();
   EXPECT_EQ(store->stats().decode_count, 0);
-  EXPECT_FALSE(store->name_index_built());
 }
 
 TEST(LogStoreCorruptionTest, FlippedPhfIndexByteIsCorruptionAtOpen) {

@@ -1,5 +1,6 @@
-// Tests for the sort-sweep interval-join kernel: exhaustive equivalence
-// against the quadratic nested-loop reference on randomized interval sets.
+// Tests for the interval index behind the θ-join kernels: exhaustive
+// equivalence against the quadratic nested-loop reference on randomized
+// interval sets, for the tree probe and the sorted-sweep access path.
 
 #include <set>
 #include <utility>
@@ -8,19 +9,42 @@
 
 #include "common/random.h"
 #include "provrc/interval_index.h"
-#include "query/interval_sweep.h"
 
 namespace dslog {
 namespace {
 
+/// (row, probe) pairs the index over `rows` emits for each of `probes`
+/// along `path`. `stride` > 1 interleaves decoy cells the index must skip.
+std::set<std::pair<int64_t, int64_t>> IndexPairs(
+    const std::vector<Interval>& rows, const std::vector<Interval>& probes,
+    int64_t stride = 1, AccessPath path = AccessPath::kIndexProbe) {
+  std::vector<int64_t> lo, hi;
+  for (const Interval& iv : rows) {
+    lo.push_back(iv.lo);
+    hi.push_back(iv.hi);
+    for (int64_t pad = 1; pad < stride; ++pad) {
+      lo.push_back(-1000000);  // decoy cells the stride must skip
+      hi.push_back(-1000000);
+    }
+  }
+  IntervalIndex index(lo.data(), hi.data(), static_cast<int64_t>(rows.size()),
+                      stride);
+  std::vector<int32_t> scratch;
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  for (size_t j = 0; j < probes.size(); ++j) {
+    index.ForEachOverlapping(probes[j], path, &scratch, [&](int64_t r) {
+      auto [it, inserted] = pairs.insert({r, static_cast<int64_t>(j)});
+      EXPECT_TRUE(inserted) << "row emitted twice: " << r << "," << j;
+    });
+  }
+  return pairs;
+}
+
+/// Interval-join pairs (i in left, j in right) through the index's
+/// sorted-sweep path: `left` is indexed, every `right` interval probes it.
 std::set<std::pair<int64_t, int64_t>> SweepPairs(
     const std::vector<Interval>& left, const std::vector<Interval>& right) {
-  std::set<std::pair<int64_t, int64_t>> pairs;
-  ForEachOverlappingPair(left, right, [&](int64_t i, int64_t j) {
-    auto [it, inserted] = pairs.insert({i, j});
-    EXPECT_TRUE(inserted) << "pair emitted twice: " << i << "," << j;
-  });
-  return pairs;
+  return IndexPairs(left, right, 1, AccessPath::kSortedSweep);
 }
 
 std::set<std::pair<int64_t, int64_t>> ReferencePairs(
@@ -74,10 +98,10 @@ TEST_P(IntervalSweepRandomTest, MatchesNestedLoop) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSweepRandomTest,
                          ::testing::Range(0, 20));
 
-// Skewed-input stress for the lazily-pruned flat active sets: distributions
-// chosen to exercise the swap-erase pruning path (many expirations per
-// event), long-lived intervals (active sets that only grow), clustered low
-// endpoints (many lo ties between the two sides), and lopsided sizes.
+// Skewed-input stress for the sweep path's lo-prefix search and SIMD
+// hi-filter: point intervals (short prefixes, few survivors), long
+// intervals (long prefixes, most rows survive), clustered low endpoints
+// (many lo ties at the search boundary), and lopsided sizes.
 class IntervalSweepStressTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntervalSweepStressTest, MatchesNestedLoopOnSkewedInputs) {
@@ -123,30 +147,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSweepStressTest,
                          ::testing::Range(0, 24));
 
 // ------------------------------------------------------------ IntervalIndex --
-
-std::set<std::pair<int64_t, int64_t>> IndexPairs(
-    const std::vector<Interval>& rows, const std::vector<Interval>& probes,
-    int64_t stride = 1) {
-  std::vector<int64_t> lo, hi;
-  for (const Interval& iv : rows) {
-    lo.push_back(iv.lo);
-    hi.push_back(iv.hi);
-    for (int64_t pad = 1; pad < stride; ++pad) {
-      lo.push_back(-1000000);  // decoy cells the stride must skip
-      hi.push_back(-1000000);
-    }
-  }
-  IntervalIndex index(lo.data(), hi.data(), static_cast<int64_t>(rows.size()),
-                      stride);
-  std::set<std::pair<int64_t, int64_t>> pairs;
-  for (size_t j = 0; j < probes.size(); ++j) {
-    index.ForEachOverlapping(probes[j], [&](int64_t r) {
-      auto [it, inserted] = pairs.insert({r, static_cast<int64_t>(j)});
-      EXPECT_TRUE(inserted) << "row emitted twice: " << r << "," << j;
-    });
-  }
-  return pairs;
-}
 
 TEST(IntervalIndexTest, EmptyAndSingleton) {
   IntervalIndex empty;

@@ -4,7 +4,6 @@
 // capture -> compress -> store -> query integration.
 
 #include <cmath>
-#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -319,7 +318,7 @@ TEST(DSLogTest, MaterializedForwardMatchesDirect) {
 }
 
 TEST(DSLogTest, SaveLoadRoundTrip) {
-  std::string dir = ScratchDir() + "/dslog_saveload";
+  const std::string path = ScratchDir() + "/dslog_saveload.dsl";
   DSLog log;
   ASSERT_TRUE(log.DefineArray("x", {8}).ok());
   ASSERT_TRUE(log.DefineArray("y", {8}).ok());
@@ -331,134 +330,23 @@ TEST(DSLogTest, SaveLoadRoundTrip) {
   OperationRegistration reg{"negative", {"x"}, "y", {rels[0]}, OpArgs(), 1,
                             true};
   ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
-  ASSERT_TRUE(log.Save(dir).ok());
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
-  EXPECT_TRUE(restored.HasArray("x"));
-  auto q = restored.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {2}));
+  auto restored = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value().HasArray("x"));
+  auto q = restored.value().ProvQuery({"y", "x"}, BoxTable::FromCells(1, {2}));
   ASSERT_TRUE(q.ok());
   auto cells = q.value().ExpandToCells();
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0], 2);
 }
 
-TEST(DSLogTest, SaveCrashSimulationLeavesPreviousCatalogLoadable) {
-  // Torn-write regression: every Save file goes through temp + rename, so a
-  // crash at any point mid-save leaves the previous catalog fully loadable.
-  const std::string dir = ScratchDir() + "/dslog_crash_sim";
-  Rng rng(21);
-  const ArrayOp* neg = OpRegistry::Global().Find("negative");
-  NDArray xv = NDArray::Random({8}, &rng);
-  NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
-  auto xy = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
-
-  DSLog a;
-  ASSERT_TRUE(a.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(a.DefineArray("y", {8}).ok());
-  OperationRegistration reg_a{"negative", {"x"}, "y", {xy[0]}, OpArgs(), 1,
-                              true};
-  ASSERT_TRUE(a.RegisterOperation(std::move(reg_a)).ok());
-  ASSERT_TRUE(a.Save(dir).ok());
-
-  // Catalog B extends A with two edges, one of which ("a" -> "b", key
-  // sorting *before* A's "x" -> "y") carries a reversal relation — so if a
-  // partial save could ever rebind A's catalog entries to another edge's
-  // file, leg 2's lineage check below would catch the wrong table.
-  LineageRelation reversal(1, 1);
-  reversal.set_shapes({8}, {8});
-  for (int64_t i = 0; i < 8; ++i) {
-    const int64_t tuple[2] = {i, 7 - i};
-    reversal.AddTuple(tuple);
-  }
-  DSLog b;
-  ASSERT_TRUE(b.DefineArray("a", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("b", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(b.DefineArray("y", {8}).ok());
-  OperationRegistration reg_b1{"negative", {"x"}, "y", {xy[0]}, OpArgs(), 1,
-                               true};
-  OperationRegistration reg_b2{"reverse", {"a"}, "b", {reversal}, OpArgs(), 2,
-                               true};
-  ASSERT_TRUE(b.RegisterOperation(std::move(reg_b1)).ok());
-  ASSERT_TRUE(b.RegisterOperation(std::move(reg_b2)).ok());
-
-  // Crash leg 1: the very first edge-file write of B's save dies -> no
-  // rename was issued, the directory is byte-identical to A's.
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.find("edge_") != std::string::npos
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
-  });
-  EXPECT_FALSE(b.Save(dir).ok());
-  io_testing::SetAtomicWriteCrashHook(nullptr);
-
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
-  EXPECT_NE(restored.FindEdge("x", "y"), nullptr);
-  EXPECT_EQ(restored.FindEdge("a", "b"), nullptr);  // still catalog A
-  EXPECT_FALSE(restored.HasArray("a"));
-
-  // Crash leg 2: B's edge files all land but catalog.bin's rename never
-  // happens -> the old catalog.bin still commits a consistent A-shaped
-  // catalog, and its x -> y entry still resolves to x -> y lineage (edge
-  // files are keyed by edge identity, so B's "a" -> "b" table cannot land
-  // under a file name A references).
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.ends_with("catalog.bin")
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
-  });
-  EXPECT_FALSE(b.Save(dir).ok());
-  io_testing::SetAtomicWriteCrashHook(nullptr);
-
-  DSLog restored2;
-  ASSERT_TRUE(restored2.Load(dir).ok());
-  EXPECT_FALSE(restored2.HasArray("a"));
-  auto q = restored2.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto cells = q.value().ExpandToCells();
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0], 3);  // identity lineage, not the reversal's 4
-
-  // A non-crashing save of B then commits the extended catalog.
-  ASSERT_TRUE(b.Save(dir).ok());
-  DSLog restored3;
-  ASSERT_TRUE(restored3.Load(dir).ok());
-  EXPECT_NE(restored3.FindEdge("a", "b"), nullptr);
-
-  // Crash leg 3: an edge whose lineage *changed* between saves. The new
-  // table lands in a new content-addressed file, so the committed
-  // catalog's own file keeps its bytes and the crash restores the old
-  // lineage — not a half-updated hybrid.
-  DSLog c;
-  ASSERT_TRUE(c.DefineArray("x", {8}).ok());
-  ASSERT_TRUE(c.DefineArray("y", {8}).ok());
-  OperationRegistration reg_c{"reverse", {"x"}, "y", {reversal}, OpArgs(), 3,
-                              true};
-  ASSERT_TRUE(c.RegisterOperation(std::move(reg_c)).ok());
-  io_testing::SetAtomicWriteCrashHook([](const std::string& path) {
-    return path.ends_with("catalog.bin")
-               ? Status::IOError("simulated crash: " + path)
-               : Status::OK();
-  });
-  EXPECT_FALSE(c.Save(dir).ok());
-  io_testing::SetAtomicWriteCrashHook(nullptr);
-
-  DSLog restored4;
-  ASSERT_TRUE(restored4.Load(dir).ok());
-  auto q4 = restored4.ProvQuery({"y", "x"}, BoxTable::FromCells(1, {3}));
-  ASSERT_TRUE(q4.ok()) << q4.status().ToString();
-  auto cells4 = q4.value().ExpandToCells();
-  ASSERT_EQ(cells4.size(), 1u);
-  EXPECT_EQ(cells4[0], 3);  // B's identity lineage, not C's reversal
-}
-
 TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
-  // Regression for Load() silently dropping reuse state: a promoted
-  // dim_sig mapping must keep serving capture-free registrations after a
-  // save/load round trip, with the counters intact.
-  const std::string dir = ScratchDir() + "/dslog_reuse_persist";
+  // A promoted dim_sig mapping must keep serving capture-free
+  // registrations after the catalog is saved and reopened in situ, with
+  // the counters intact.
+  const std::string path = ScratchDir() + "/dslog_reuse_persist.dsl";
   DSLog log;
   Rng rng(22);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
@@ -475,10 +363,11 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
     ASSERT_TRUE(log.RegisterOperation(std::move(reg)).ok());
   }
   ASSERT_EQ(log.reuse_stats().dim_promotions, 1);
-  ASSERT_TRUE(log.Save(dir).ok());
+  ASSERT_TRUE(log.SaveLogStore(path).ok());
 
-  DSLog restored;
-  ASSERT_TRUE(restored.Load(dir).ok());
+  auto opened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DSLog& restored = opened.value();
   EXPECT_EQ(restored.reuse_stats().dim_promotions, 1);
   EXPECT_EQ(restored.reuse_stats().dim_hits, log.reuse_stats().dim_hits);
 
@@ -494,12 +383,12 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
   EXPECT_EQ(fwd.value().ExpandToCells(), (std::vector<int64_t>{7}));
 }
 
-// --------------------------------------------------- predictor seal format --
+// ----------------------------------------------------- predictor state blob --
 
-namespace seal_test {
+namespace predictor_state_test {
 
 /// Identity lineage over 8 cells, the shared payload for promoted entries.
-std::vector<CompressedTable> OneTable() {
+std::vector<CompressedTable> IdentityTables() {
   LineageRelation rel(1, 1);
   rel.set_shapes({8}, {8});
   for (int64_t i = 0; i < 8; ++i) {
@@ -509,11 +398,11 @@ std::vector<CompressedTable> OneTable() {
   return {ProvRcCompress(rel)};
 }
 
-/// Predictor with `ops` promoted dim signatures op0..op<ops-1> (each
-/// registered twice with identical lineage, the m = 1 promotion).
-ReusePredictor Promoted(int ops, const std::vector<CompressedTable>& tables) {
+/// A predictor with `n` promoted dim signatures op0..op(n-1), each
+/// registered twice with identical lineage (the m = 1 promotion).
+ReusePredictor Promoted(int n, const std::vector<CompressedTable>& tables) {
   ReusePredictor p;
-  for (int i = 0; i < ops; ++i) {
+  for (int i = 0; i < n; ++i) {
     OpArgs args;
     args.SetInt("k", i);
     for (int rep = 0; rep < 2; ++rep)
@@ -523,52 +412,51 @@ ReusePredictor Promoted(int ops, const std::vector<CompressedTable>& tables) {
   return p;
 }
 
-}  // namespace seal_test
-
-TEST(ReusePredictorTest, SealedStateRoundTripsAndServesPromotedLookups) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
-  ReusePredictor p = seal_test::Promoted(4, tables);
-  ASSERT_EQ(p.stats().dim_promotions, 4);
-
-  const std::string sealed_blob = p.SerializeState();
-  const std::string legacy_blob = p.SerializeState(/*seal=*/false);
-  // seal = false reproduces the legacy RPS1 bytes exactly; the SEAL section
-  // is strictly appended, so readers that predate it keep working.
-  ASSERT_LT(legacy_blob.size(), sealed_blob.size());
-  EXPECT_EQ(sealed_blob.compare(0, legacy_blob.size(), legacy_blob), 0);
-
-  // A SEAL-carrying blob binds the perfect-hash index directly; a legacy
-  // blob is sealed in memory after the restore. Either way the restored
-  // predictor serves exactly the promoted mappings.
-  for (const std::string* blob : {&sealed_blob, &legacy_blob}) {
-    ReusePredictor r;
-    ASSERT_TRUE(r.RestoreState(*blob).ok());
-    EXPECT_TRUE(r.sealed());
-    for (int i = 0; i < 4; ++i) {
-      OpArgs args;
-      args.SetInt("k", i);
-      auto predicted = r.Predict("op" + std::to_string(i), args, {{8}}, {8});
-      ASSERT_EQ(predicted.size(), 1u);
-      EXPECT_TRUE(predicted[0] == tables[0]);
-      // Absent op / different shape: clean misses through the same index.
-      EXPECT_TRUE(r.Predict("nope" + std::to_string(i), args, {{8}}, {8})
-                      .empty());
-      EXPECT_TRUE(r.Predict("op" + std::to_string(i), args, {{9}}, {9})
-                      .empty());
-    }
+/// Promoted ops op0..op(n-1) hit with `tables`; an absent op or another
+/// shape is a clean miss.
+void ExpectPromotedLookups(const ReusePredictor& r, int n,
+                           const std::vector<CompressedTable>& tables) {
+  for (int i = 0; i < n; ++i) {
+    OpArgs args;
+    args.SetInt("k", i);
+    auto predicted = r.Predict("op" + std::to_string(i), args, {{8}}, {8});
+    ASSERT_EQ(predicted.size(), 1u);
+    EXPECT_TRUE(predicted[0] == tables[0]);
+    EXPECT_TRUE(
+        r.Predict("nope" + std::to_string(i), args, {{8}}, {8}).empty());
+    EXPECT_TRUE(r.Predict("op" + std::to_string(i), args, {{9}}, {9}).empty());
   }
 }
 
+}  // namespace predictor_state_test
+
+TEST(ReusePredictorTest, SealedStateRoundTripsAndServesPromotedLookups) {
+  const std::vector<CompressedTable> tables =
+      predictor_state_test::IdentityTables();
+  ReusePredictor p = predictor_state_test::Promoted(4, tables);
+  ASSERT_EQ(p.stats().dim_promotions, 4);
+  const std::string blob = p.SerializeState();
+
+  ReusePredictor r;
+  ASSERT_TRUE(r.RestoreState(blob).ok());
+  EXPECT_EQ(r.stats().dim_promotions, 4);
+  predictor_state_test::ExpectPromotedLookups(r, 4, tables);
+
+  // Trailing bytes after the payload are ignored.
+  ASSERT_TRUE(r.RestoreState(blob + "trailer").ok());
+  predictor_state_test::ExpectPromotedLookups(r, 4, tables);
+}
+
 TEST(ReusePredictorTest, PromotionStateChangeUnsealsAndStaysCorrect) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
+  const std::vector<CompressedTable> tables =
+      predictor_state_test::IdentityTables();
   ReusePredictor r;
   ASSERT_TRUE(
-      r.RestoreState(seal_test::Promoted(3, tables).SerializeState()).ok());
-  ASSERT_TRUE(r.sealed());
+      r.RestoreState(predictor_state_test::Promoted(3, tables).SerializeState())
+          .ok());
 
-  // A misprediction demotes op1 (promoted -> rejected), which invalidates
-  // the sealed indexes; lookups fall back to the maps with no behaviour
-  // change for the still-promoted ops.
+  // A misprediction after the restore demotes op1 (promoted -> rejected);
+  // the still-promoted ops keep hitting.
   LineageRelation other(1, 1);
   other.set_shapes({8}, {8});
   const int64_t tuple[2] = {0, 7};
@@ -576,36 +464,42 @@ TEST(ReusePredictorTest, PromotionStateChangeUnsealsAndStaysCorrect) {
   OpArgs args1;
   args1.SetInt("k", 1);
   r.ProcessRegistration("op1", args1, {{8}}, {8}, 99, {ProvRcCompress(other)});
-  EXPECT_FALSE(r.sealed());
   EXPECT_EQ(r.stats().mispredictions, 1);
   EXPECT_TRUE(r.Predict("op1", args1, {{8}}, {8}).empty());
   OpArgs args0;
   args0.SetInt("k", 0);
   EXPECT_EQ(r.Predict("op0", args0, {{8}}, {8}).size(), 1u);
+  OpArgs args2;
+  args2.SetInt("k", 2);
+  EXPECT_EQ(r.Predict("op2", args2, {{8}}, {8}).size(), 1u);
 }
 
 TEST(ReusePredictorTest, CorruptSealSectionIsRejectedWithoutStateChange) {
-  const std::vector<CompressedTable> tables = seal_test::OneTable();
-  ReusePredictor p = seal_test::Promoted(3, tables);
-  const std::string good = p.SerializeState();
-  const size_t legacy_size = p.SerializeState(/*seal=*/false).size();
-
-  // Flip a byte inside the SEAL payload (past the 4-byte magic): the
-  // restore must fail as Corruption and leave the target untouched.
-  std::string bad = good;
-  ASSERT_GT(bad.size(), legacy_size + 8);
-  bad[legacy_size + 8] ^= 0x20;
-
+  const std::vector<CompressedTable> tables =
+      predictor_state_test::IdentityTables();
+  const std::string blob =
+      predictor_state_test::Promoted(4, tables).SerializeState();
   ReusePredictor r;
-  ASSERT_TRUE(r.RestoreState(good).ok());
-  Status st = r.RestoreState(bad);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  // Prior state intact and still sealed.
-  EXPECT_TRUE(r.sealed());
+  ASSERT_TRUE(r.RestoreState(blob).ok());
+
+  // A truncated or flipped RPS1 blob is Corruption and leaves the prior
+  // state untouched. The flip hits op0's dim entry state byte, which
+  // directly follows its length-prefixed key "op0#<args hash>|8".
   OpArgs args0;
   args0.SetInt("k", 0);
-  EXPECT_EQ(r.Predict("op0", args0, {{8}}, {8}).size(), 1u);
+  const std::string dim_key = "op0#" + std::to_string(args0.Hash()) + "|8";
+  const size_t key_at = blob.find(dim_key);
+  ASSERT_NE(key_at, std::string::npos);
+  std::string flipped = blob;
+  flipped[key_at + dim_key.size()] = 0x7F;  // not a valid promotion state
+  for (const std::string& bad :
+       {flipped, blob.substr(0, blob.size() - 1),
+        blob.substr(0, blob.size() / 2), blob.substr(0, 3)}) {
+    Status st = r.RestoreState(bad);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    predictor_state_test::ExpectPromotedLookups(r, 4, tables);
+  }
 }
 
 // -------------------------------------------------------------- workflows --
