@@ -1,8 +1,11 @@
 #include "provrc/compressed_table.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
+#include "provrc/serialize.h"
 
 namespace dslog {
 
@@ -41,6 +44,7 @@ CompressedTable::CompressedTable(const CompressedTable& o)
       ref_(o.ref_) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
   index_ = o.index_;  // immutable once built; safe to share
+  digest_ = o.digest_;
 }
 
 CompressedTable& CompressedTable::operator=(const CompressedTable& o) {
@@ -53,6 +57,7 @@ CompressedTable& CompressedTable::operator=(const CompressedTable& o) {
   ref_ = o.ref_;
   std::scoped_lock lock(index_mu_, o.index_mu_);
   index_ = o.index_;
+  digest_ = o.digest_;
   return *this;
 }
 
@@ -65,6 +70,7 @@ CompressedTable::CompressedTable(CompressedTable&& o) noexcept
       ref_(std::move(o.ref_)) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
   index_ = std::move(o.index_);
+  digest_ = std::exchange(o.digest_, std::nullopt);
   o.num_rows_ = 0;
 }
 
@@ -78,24 +84,29 @@ CompressedTable& CompressedTable::operator=(CompressedTable&& o) noexcept {
   ref_ = std::move(o.ref_);
   std::scoped_lock lock(index_mu_, o.index_mu_);
   index_ = std::move(o.index_);
+  digest_ = std::exchange(o.digest_, std::nullopt);
   o.num_rows_ = 0;
   return *this;
+}
+
+void CompressedTable::InvalidateCaches() {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  index_.reset();
+  digest_.reset();
 }
 
 void CompressedTable::set_out_iv(int64_t r, int32_t k, Interval iv) {
   const size_t at = static_cast<size_t>(r * stride() + k);
   lo_[at] = iv.lo;
   hi_[at] = iv.hi;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  InvalidateCaches();
 }
 
 void CompressedTable::set_in_iv(int64_t r, int32_t i, Interval iv) {
   const size_t at = static_cast<size_t>(r * stride() + out_ndim() + i);
   lo_[at] = iv.lo;
   hi_[at] = iv.hi;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  InvalidateCaches();
 }
 
 CompressedRow CompressedTable::Row(int64_t r) const {
@@ -127,8 +138,7 @@ void CompressedTable::AddRow(std::span<const Interval> out,
     ref_.push_back(cell.is_relative() ? cell.ref : -1);
   }
   ++num_rows_;
-  std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  InvalidateCaches();
 }
 
 void CompressedTable::AppendRowRaw(const Interval* out, const Interval* in,
@@ -143,8 +153,9 @@ void CompressedTable::AppendRowRaw(const Interval* out, const Interval* in,
     ref_.push_back(refs[i]);
   }
   ++num_rows_;
-  // No index invalidation: the encoder appends before any query can have
-  // built an index, and AddRow (the general path) resets it anyway.
+  // No cache invalidation: the encoder and the decoders append to a fresh
+  // table before any query or appender can have built its index or digest,
+  // and AddRow (the general path) resets both anyway.
 }
 
 CompressedTableView CompressedTable::view() const {
@@ -166,6 +177,15 @@ std::shared_ptr<const IntervalIndex> CompressedTable::BackwardIndex() const {
     index_ = std::make_shared<const IntervalIndex>(lo_.data(), hi_.data(),
                                                    num_rows_, stride());
   return index_;
+}
+
+ColumnarDigest CompressedTable::columnar_digest() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (!digest_) {
+    const std::string image = SerializeCompressedTableColumnar(*this);
+    digest_ = ColumnarDigest{image.size(), Hash64(image)};
+  }
+  return *digest_;
 }
 
 LineageRelation CompressedTable::Decompress() const {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -112,6 +113,16 @@ struct CompressedTableView {
   }
 };
 
+/// Length and FNV-64 hash of a table's PRC2 columnar image: exactly the
+/// (length, checksum) pair a LogStore footer records for a columnar
+/// segment holding the table.
+struct ColumnarDigest {
+  uint64_t length = 0;
+  uint64_t hash = 0;
+
+  bool operator==(const ColumnarDigest& o) const = default;
+};
+
 /// A compressed lineage table between one output and one input array
 /// (the backward representation of §IV.C: predicates push down on outputs).
 /// Owns its columnar arenas; copyable and movable.
@@ -158,7 +169,8 @@ class CompressedTable {
                    : InputCell::Absolute(in_iv(r, i));
   }
 
-  // Cell mutators (reshape instantiation). Invalidate the cached index.
+  // Cell mutators (reshape instantiation). Invalidate the cached index and
+  // digest.
   void set_out_iv(int64_t r, int32_t k, Interval iv);
   void set_in_iv(int64_t r, int32_t i, Interval iv);
 
@@ -185,6 +197,12 @@ class CompressedTable {
   /// Thread-safe; mutations invalidate it.
   std::shared_ptr<const IntervalIndex> BackwardIndex() const;
 
+  /// {size, Hash64} of SerializeCompressedTableColumnar(*this), computed on
+  /// first use and cached like BackwardIndex (copies carry it, mutations
+  /// drop it). Lets an appender recognize an already-persisted columnar
+  /// segment without re-serializing the table on every append.
+  ColumnarDigest columnar_digest() const;
+
   /// Expands every row back to individual contribution tuples. Used by the
   /// losslessness property tests and by baselines needing full relations.
   LineageRelation Decompress() const;
@@ -209,10 +227,14 @@ class CompressedTable {
   std::vector<int64_t> hi_;   // num_rows * stride()
   std::vector<int32_t> ref_;  // num_rows * in_ndim
 
-  /// Lazily-built backward-join index. Guarded by index_mu_; immutable
-  /// once published, so copies may share it.
+  /// Drops the cached index and digest (every mutation but AppendRowRaw).
+  void InvalidateCaches();
+
+  /// Lazily-built backward-join index and columnar digest. Guarded by
+  /// index_mu_; immutable once published, so copies may share them.
   mutable std::mutex index_mu_;
   mutable std::shared_ptr<const IntervalIndex> index_;
+  mutable std::optional<ColumnarDigest> digest_;
 };
 
 }  // namespace dslog

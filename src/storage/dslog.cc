@@ -575,6 +575,28 @@ EdgeSegmentBytes SerializedEdgeSegment(const LogStore* store, int32_t segment,
           table->num_rows(), ComputeOut0Stats(*table)};
 }
 
+/// True when `existing`, the append target's record for an edge, already
+/// holds exactly the bytes the edge would persist. Mapped edges compare
+/// their own footer record; resident edges compare the table's cached
+/// columnar digest. Only a resident edge over a gzip segment re-encodes.
+bool SegmentUnchanged(const LogStore* store, int32_t segment,
+                      const CompressedTable* table,
+                      const LogStore::SegmentInfo& existing) {
+  if (segment >= 0) {
+    const size_t id = static_cast<size_t>(segment);
+    const uint64_t length = static_cast<uint64_t>(store->segment_length(id));
+    return store->segment_layout(id) == existing.layout &&
+           length == existing.length &&
+           store->segment_checksum(id) == existing.checksum;
+  }
+  if (existing.layout == SegmentLayout::kColumnar) {
+    const ColumnarDigest digest = table->columnar_digest();
+    return digest.length == existing.length && digest.hash == existing.checksum;
+  }
+  const std::string bytes = SerializeCompressedTableGzip(*table);
+  return bytes.size() == existing.length && Hash64(bytes) == existing.checksum;
+}
+
 }  // namespace
 
 // ------------------------------------------------- single-file LogStore --
@@ -618,6 +640,18 @@ Status DSLog::SaveLogStore(const std::string& path,
 
 Status DSLog::AppendLogStore(const std::string& path,
                              SegmentLayout layout) const {
+  static metrics::Histogram& append_us =
+      metrics::Registry::Global().histogram("dslog.logstore.append_us");
+  static metrics::Counter& segments_written =
+      metrics::Registry::Global().counter(
+          "dslog.logstore.append_segments_written");
+  static metrics::Counter& segments_skipped =
+      metrics::Registry::Global().counter(
+          "dslog.logstore.append_segments_skipped");
+  static metrics::Counter& footer_bytes =
+      metrics::Registry::Global().counter("dslog.logstore.append_footer_bytes");
+  trace::Span span("DSLog.AppendLogStore", "storage");
+  WallTimer timer;
   std::map<std::string, Edge> edges = SnapshotEdges();
   std::shared_ptr<const LogStore> store = log_store();
   DSLOG_ASSIGN_OR_RETURN(LogStoreWriter writer,
@@ -627,40 +661,36 @@ Status DSLog::AppendLogStore(const std::string& path,
     for (const auto& [name, shape] : arrays_) writer.PutArray(name, shape);
     writer.SetPredictorState(predictor_.SerializeState());
   }
+  int64_t written = 0, skipped = 0;
   for (const auto& [key, edge] : edges) {
     // Skip only byte-identical segments: a re-registered edge whose
-    // lineage changed must be re-persisted, not silently kept stale. The
-    // comparison serializes in the *existing* segment's layout so an
-    // unchanged edge is never rewritten just because the preferred layout
-    // differs (appends extend mixed-version stores, they don't migrate
-    // them — use SaveLogStore for a full rewrite).
+    // lineage changed must be re-persisted, not silently kept stale. An
+    // unchanged edge is kept in the *existing* segment's layout even when
+    // the preferred layout differs (appends extend mixed-layout stores,
+    // they don't migrate them — use SaveLogStore for a full rewrite).
     const LogStore::SegmentInfo* existing =
         writer.FindSegment(edge.in_arr, edge.out_arr);
-    EdgeSegmentBytes seg;
-    bool have_bytes = false;
-    if (existing != nullptr) {
-      EdgeSegmentBytes probe = SerializedEdgeSegment(
-          store.get(), edge.segment, edge.table.get(), existing->layout);
-      if (probe.layout == existing->layout &&
-          existing->length == probe.bytes.size() &&
-          existing->checksum == Hash64(probe.bytes))
-        continue;
-      // Changed edge: reuse the probe bytes when they are already in the
-      // layout we would write, instead of serializing twice.
-      if (probe.layout == layout) {
-        seg = std::move(probe);
-        have_bytes = true;
-      }
+    if (existing != nullptr && SegmentUnchanged(store.get(), edge.segment,
+                                                edge.table.get(), *existing)) {
+      ++skipped;
+      continue;
     }
-    if (!have_bytes)
-      seg = SerializedEdgeSegment(store.get(), edge.segment, edge.table.get(),
-                                  layout);
+    EdgeSegmentBytes seg = SerializedEdgeSegment(store.get(), edge.segment,
+                                                 edge.table.get(), layout);
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
                                 seg.bytes, seg.layout, seg.row_count,
                                 seg.out0_stats));
+    ++written;
   }
-  return writer.Finish();
+  DSLOG_RETURN_IF_ERROR(writer.Finish());
+  segments_written.Add(written);
+  segments_skipped.Add(skipped);
+  footer_bytes.Add(writer.footer_bytes());
+  span.Arg("written", written);
+  span.Arg("skipped", skipped);
+  append_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
+  return Status::OK();
 }
 
 std::shared_ptr<const LogStore> DSLog::log_store() const {

@@ -197,9 +197,18 @@ class DSLog {
                       SegmentLayout layout = SegmentLayout::kColumnar) const;
 
   /// Incremental persistence: appends edges not yet present in the file at
-  /// `path` (plus new arrays and the current predictor state) through
-  /// LogStoreWriter::OpenForAppend. Existing segments are not rewritten;
-  /// the footer is.
+  /// `path`, and edges whose lineage changed, plus the arrays and the
+  /// current predictor state, through LogStoreWriter::OpenForAppend.
+  /// Existing segments are not rewritten; the footer is.
+  ///
+  /// Cost: O(changed) for segments and predictor state. A resident edge
+  /// already on disk is recognized by its table's cached columnar digest
+  /// (serialized at most once per table; only gzip segments are
+  /// re-serialized to compare), a mapped edge by its own footer record, and
+  /// the predictor blob is concatenated from encodings cached at
+  /// insertion. Still O(footer): parsing the old footer, snapshotting the
+  /// edge set and rebuilding the footer and its PHF index, i.e.
+  /// O(#edges + predictor blob bytes).
   Status AppendLogStore(const std::string& path,
                         SegmentLayout layout = SegmentLayout::kColumnar) const;
 

@@ -420,6 +420,14 @@ IntervalColumnStats LogStore::segment_out0_stats(size_t id) const {
   return st;
 }
 
+uint64_t LogStore::segment_checksum(size_t id) const {
+  return RecU64(id, kRecChecksum);
+}
+
+SegmentLayout LogStore::segment_layout(size_t id) const {
+  return static_cast<SegmentLayout>(RecU32(id, kRecLayout));
+}
+
 const std::vector<LogStore::SegmentInfo>& LogStore::segments() const {
   std::call_once(segments_once_, [this] {
     segments_.reserve(num_segments_);
@@ -785,6 +793,7 @@ Status LogStoreWriter::Finish() {
       EncodeFooter(arrays_, segments_, predictor_state_, phf_block);
   const uint64_t footer_offset = base_offset_ + new_bytes_.size();
   std::string trailer = EncodeTrailer(footer_offset, footer);
+  footer_bytes_ = static_cast<int64_t>(footer.size());
 
   if (!appending_) {
     std::string file;

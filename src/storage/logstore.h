@@ -230,6 +230,12 @@ class LogStore {
   /// Join-planner stats of segment `id` without materializing names.
   IntervalColumnStats segment_out0_stats(size_t id) const;
 
+  /// Checksum and layout of segment `id` without materializing names.
+  /// With segment_length they identify the segment's bytes, so an appender
+  /// can match a mapped segment against another footer without hashing it.
+  uint64_t segment_checksum(size_t id) const;
+  SegmentLayout segment_layout(size_t id) const;
+
   /// All segment metadata, built on first call (one pass over the flat
   /// records) — save and inspect convenience, not a query path.
   const std::vector<SegmentInfo>& segments() const;
@@ -440,6 +446,9 @@ class LogStoreWriter {
     return static_cast<int64_t>(segments_.size());
   }
 
+  /// Size of the footer Finish() wrote (0 before Finish).
+  int64_t footer_bytes() const { return footer_bytes_; }
+
  private:
   LogStoreWriter() = default;
 
@@ -452,6 +461,7 @@ class LogStoreWriter {
   std::vector<LogStore::SegmentInfo> segments_;
   std::map<std::string, size_t> edge_index_;  // EdgeKey -> segments_ index
   std::string predictor_state_;
+  int64_t footer_bytes_ = 0;
   bool finished_ = false;
 };
 

@@ -14,20 +14,51 @@ namespace {
 // Predictor-state blob format (versioned; see SerializeState).
 constexpr char kStateMagic[4] = {'R', 'P', 'S', '1'};
 
-void PutTable(std::string* dst, const CompressedTable& table) {
-  PutLengthPrefixed(dst, SerializeCompressedTable(table));
+/// The table section of a base or dim entry: count, then one
+/// length-prefixed PRC1 table each.
+std::string EncodeTables(const std::vector<CompressedTable>& tables) {
+  std::string out;
+  PutVarint64(&out, tables.size());
+  for (const CompressedTable& t : tables)
+    PutLengthPrefixed(&out, SerializeCompressedTable(t));
+  return out;
 }
 
-Result<CompressedTable> GetTable(std::string_view src, size_t* pos) {
-  std::string bytes;
-  if (!GetLengthPrefixed(src, pos, &bytes))
-    return Status::Corruption("predictor state: truncated table");
-  return DeserializeCompressedTable(bytes);
+/// Parses an EncodeTables section at `*pos`, decoding every table; the
+/// tables land in `out` unless it is null.
+Status GetTables(std::string_view src, size_t* pos,
+                 std::vector<CompressedTable>* out) {
+  uint64_t num_tables;
+  if (!GetVarint64(src, pos, &num_tables))
+    return Status::Corruption("predictor state: table count");
+  for (uint64_t t = 0; t < num_tables; ++t) {
+    std::string bytes;
+    if (!GetLengthPrefixed(src, pos, &bytes))
+      return Status::Corruption("predictor state: truncated table");
+    DSLOG_ASSIGN_OR_RETURN(CompressedTable table,
+                           DeserializeCompressedTable(bytes));
+    if (out != nullptr) out->push_back(std::move(table));
+  }
+  return Status::OK();
 }
 
 void PutShape(std::string* dst, const std::vector<int64_t>& shape) {
   PutVarint64(dst, shape.size());
   for (int64_t d : shape) PutVarint64(dst, static_cast<uint64_t>(d));
+}
+
+/// The body of a gen entry: count, the generalized tables, then the first
+/// call's input shapes and output shape.
+std::string EncodeGen(const std::vector<GeneralizedTable>& tables,
+                      const std::vector<std::vector<int64_t>>& first_shapes,
+                      const std::vector<int64_t>& first_out_shape) {
+  std::string out;
+  PutVarint64(&out, tables.size());
+  for (const GeneralizedTable& t : tables) t.AppendTo(&out);
+  PutVarint64(&out, first_shapes.size());
+  for (const auto& shape : first_shapes) PutShape(&out, shape);
+  PutShape(&out, first_out_shape);
+  return out;
 }
 
 /// Appends the decimal form of `v` (std::to_chars: no locale, no
@@ -78,29 +109,23 @@ std::string ReusePredictor::SerializeState() const {
   PutVarint64(&out, static_cast<uint64_t>(stats_.mispredictions));
 
   PutVarint64(&out, base_sig_.size());
-  for (const auto& [key, tables] : base_sig_) {
+  for (const auto& [key, encoded] : base_sig_) {
     PutLengthPrefixed(&out, key);
-    PutVarint64(&out, tables.size());
-    for (const CompressedTable& t : tables) PutTable(&out, t);
+    out.append(encoded);
   }
 
   PutVarint64(&out, dim_sig_.size());
   for (const auto& [key, entry] : dim_sig_) {
     PutLengthPrefixed(&out, key);
     out.push_back(static_cast<char>(entry.state));
-    PutVarint64(&out, entry.tables.size());
-    for (const CompressedTable& t : entry.tables) PutTable(&out, t);
+    out.append(entry.encoded);
   }
 
   PutVarint64(&out, gen_sig_.size());
   for (const auto& [key, entry] : gen_sig_) {
     PutLengthPrefixed(&out, key);
     out.push_back(static_cast<char>(entry.state));
-    PutVarint64(&out, entry.tables.size());
-    for (const GeneralizedTable& t : entry.tables) t.AppendTo(&out);
-    PutVarint64(&out, entry.first_shapes.size());
-    for (const auto& shape : entry.first_shapes) PutShape(&out, shape);
-    PutShape(&out, entry.first_out_shape);
+    out.append(entry.encoded);
   }
   return out;
 }
@@ -133,17 +158,16 @@ Status ReusePredictor::RestoreState(std::string_view blob) {
   uint64_t num_base;
   if (!GetVarint64(blob, &pos, &num_base))
     return Status::Corruption("predictor state: base count");
+  // Every table is decoded (and so validated); an entry keeps the exact
+  // bytes it was decoded from as its encoded form.
   for (uint64_t i = 0; i < num_base; ++i) {
     std::string key;
-    uint64_t num_tables;
-    if (!GetLengthPrefixed(blob, &pos, &key) || !GetVarint64(blob, &pos, &num_tables))
+    if (!GetLengthPrefixed(blob, &pos, &key))
       return Status::Corruption("predictor state: base entry");
-    std::vector<CompressedTable> tables;
-    for (uint64_t t = 0; t < num_tables; ++t) {
-      DSLOG_ASSIGN_OR_RETURN(CompressedTable table, GetTable(blob, &pos));
-      tables.push_back(std::move(table));
-    }
-    restored.base_sig_[std::move(key)] = std::move(tables);
+    const size_t start = pos;
+    DSLOG_RETURN_IF_ERROR(GetTables(blob, &pos, nullptr));
+    restored.base_sig_[std::move(key)] =
+        std::string(blob.substr(start, pos - start));
   }
 
   uint64_t num_dim;
@@ -152,14 +176,11 @@ Status ReusePredictor::RestoreState(std::string_view blob) {
   for (uint64_t i = 0; i < num_dim; ++i) {
     std::string key;
     DimEntry entry;
-    uint64_t num_tables;
-    if (!GetLengthPrefixed(blob, &pos, &key) || !get_state(&entry.state) ||
-        !GetVarint64(blob, &pos, &num_tables))
+    if (!GetLengthPrefixed(blob, &pos, &key) || !get_state(&entry.state))
       return Status::Corruption("predictor state: dim entry");
-    for (uint64_t t = 0; t < num_tables; ++t) {
-      DSLOG_ASSIGN_OR_RETURN(CompressedTable table, GetTable(blob, &pos));
-      entry.tables.push_back(std::move(table));
-    }
+    const size_t start = pos;
+    DSLOG_RETURN_IF_ERROR(GetTables(blob, &pos, &entry.tables));
+    entry.encoded = std::string(blob.substr(start, pos - start));
     restored.dim_sig_[std::move(key)] = std::move(entry);
   }
 
@@ -170,8 +191,10 @@ Status ReusePredictor::RestoreState(std::string_view blob) {
     std::string key;
     GenEntry entry;
     uint64_t num_tables;
-    if (!GetLengthPrefixed(blob, &pos, &key) || !get_state(&entry.state) ||
-        !GetVarint64(blob, &pos, &num_tables))
+    if (!GetLengthPrefixed(blob, &pos, &key) || !get_state(&entry.state))
+      return Status::Corruption("predictor state: gen entry");
+    const size_t start = pos;
+    if (!GetVarint64(blob, &pos, &num_tables))
       return Status::Corruption("predictor state: gen entry");
     for (uint64_t t = 0; t < num_tables; ++t) {
       DSLOG_ASSIGN_OR_RETURN(GeneralizedTable table,
@@ -187,6 +210,7 @@ Status ReusePredictor::RestoreState(std::string_view blob) {
         return Status::Corruption("predictor state: gen shape");
     if (!GetShape(blob, &pos, &entry.first_out_shape))
       return Status::Corruption("predictor state: gen out shape");
+    entry.encoded = std::string(blob.substr(start, pos - start));
     restored.gen_sig_[std::move(key)] = std::move(entry);
   }
 
@@ -263,6 +287,13 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
   // key builder; OpArgs::Hash walks every argument).
   const uint64_t args_hash = args.Hash();
 
+  // The tables' encoded section, built at most once for base and dim.
+  std::string encoded;
+  auto encoded_tables = [&]() -> const std::string& {
+    if (encoded.empty()) encoded = EncodeTables(tables);
+    return encoded;
+  };
+
   // ---- base_sig: exact input match (Lima-style). -------------------------
   std::string base_key = BaseKey(op_name, args_hash, content_hash);
   auto base_it = base_sig_.find(base_key);
@@ -270,7 +301,7 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
     outcome.base_hit = true;
     ++stats_.base_hits;
   } else {
-    base_sig_[base_key] = tables;
+    base_sig_.emplace(std::move(base_key), encoded_tables());
   }
 
   // ---- dim_sig: shape-based reuse. ---------------------------------------
@@ -279,6 +310,7 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
   DimEntry& dim = dim_it->second;
   if (dim_new) {
     dim.tables = tables;
+    dim.encoded = encoded_tables();
   } else {
     switch (dim.state) {
       case State::kTentative:
@@ -315,6 +347,7 @@ ReuseOutcome ReusePredictor::ProcessRegistration(
       gen.tables.push_back(GeneralizedTable::Generalize(t));
     gen.first_shapes = in_shapes;
     gen.first_out_shape = out_shape;
+    gen.encoded = EncodeGen(gen.tables, gen.first_shapes, gen.first_out_shape);
   } else {
     auto verify = [&]() {
       for (size_t i = 0; i < gen.tables.size() && i < tables.size(); ++i) {

@@ -81,9 +81,14 @@ class ReusePredictor {
  private:
   enum class State { kTentative, kPromoted, kRejected };
 
+  // Everything but an entry's state is fixed at insertion, so each entry
+  // keeps its serialized form next to it (`encoded`: the bytes
+  // SerializeState writes after the key and state byte). SerializeState
+  // only concatenates; it never re-encodes a table.
   struct DimEntry {
     State state = State::kTentative;
     std::vector<CompressedTable> tables;
+    std::string encoded;  // table count + PRC1 tables
   };
   struct GenEntry {
     State state = State::kTentative;
@@ -92,6 +97,7 @@ class ReusePredictor {
     // *different* shape on the confirming call (§VI.C).
     std::vector<std::vector<int64_t>> first_shapes;
     std::vector<int64_t> first_out_shape;
+    std::string encoded;  // tables + first shapes
   };
 
   static std::string DimKey(const std::string& op_name, uint64_t args_hash,
@@ -100,7 +106,9 @@ class ReusePredictor {
   static std::string BaseKey(const std::string& op_name, uint64_t args_hash,
                              uint64_t content_hash);
 
-  std::map<std::string, std::vector<CompressedTable>> base_sig_;
+  /// base_sig key -> encoded table section. Only a key's presence is ever
+  /// read (Predict serves dim/gen), so the tables themselves are not kept.
+  std::map<std::string, std::string> base_sig_;
   std::map<std::string, DimEntry> dim_sig_;
   std::map<std::string, GenEntry> gen_sig_;
   ReuseStats stats_;

@@ -22,6 +22,7 @@
 #include "query/query_engine.h"
 #include "query/theta_join.h"
 #include "storage/dslog.h"
+#include "storage/logstore.h"
 #include "test_util.h"
 
 namespace dslog {
@@ -142,6 +143,113 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialPipelineTest,
                          ::testing::Range(0, 12));
+
+// ------------------------------------------------------ append vs save --
+
+/// Registers `dag` with every array name prefixed, so several dags share
+/// one catalog.
+Status RegisterPrefixed(const RandomDag& dag, const std::string& prefix,
+                        DSLog* log) {
+  for (size_t i = 0; i < dag.names.size(); ++i)
+    DSLOG_RETURN_IF_ERROR(
+        log->DefineArray(prefix + dag.names[i], dag.shapes[i]));
+  if (dag.has_branch)
+    DSLOG_RETURN_IF_ERROR(
+        log->DefineArray(prefix + "branch", dag.branch_shape));
+  for (OperationRegistration& reg : dag.Registrations()) {
+    reg.in_arrs[0] = prefix + reg.in_arrs[0];
+    reg.out_arr = prefix + reg.out_arr;
+    auto outcome = log->RegisterOperation(std::move(reg));
+    if (!outcome.ok()) return outcome.status();
+  }
+  return Status::OK();
+}
+
+class AppendDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AppendDifferentialTest, AppendPerPipelineEqualsOneSave) {
+  // One store grows by an AppendLogStore after every pipeline (most of
+  // whose edges are then skipped as already persisted); the other is one
+  // SaveLogStore at the end. Both must hold the same bytes per edge and
+  // the same predictor blob, and answer like the oracle.
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  const std::string base =
+      ScratchDir() + "/append_diff_" + std::to_string(seed);
+  const std::string appended_path = base + "_appended.dsl";
+  const std::string saved_path = base + "_saved.dsl";
+  std::vector<RandomDag> dags;
+  for (uint64_t k = 0; k < 3; ++k) dags.push_back(GenerateDag(seed + 40 * k));
+
+  DSLog log;
+  ASSERT_TRUE(log.SaveLogStore(appended_path).ok());  // the empty store
+  for (size_t k = 0; k < dags.size(); ++k) {
+    ASSERT_TRUE(
+        RegisterPrefixed(dags[k], "p" + std::to_string(k) + "_", &log).ok());
+    ASSERT_TRUE(log.AppendLogStore(appended_path).ok());
+  }
+  ASSERT_TRUE(log.SaveLogStore(saved_path).ok());
+
+  auto appended = LogStore::Open(appended_path);
+  auto saved = LogStore::Open(saved_path);
+  ASSERT_TRUE(appended.ok() && saved.ok());
+  const LogStore& a = *appended.value();
+  const LogStore& b = *saved.value();
+  EXPECT_EQ(a.arrays(), b.arrays());
+  EXPECT_EQ(a.predictor_state(), b.predictor_state());
+  ASSERT_EQ(a.segment_count(), b.segment_count());
+  for (size_t i = 0; i < b.segment_count(); ++i) {
+    const LogStore::SegmentInfo want = b.segment_info(i);
+    auto id = a.FindSegmentId(want.in_arr, want.out_arr);
+    ASSERT_TRUE(id.ok());
+    ASSERT_GE(id.value(), 0) << want.in_arr << " -> " << want.out_arr;
+    const LogStore::SegmentInfo got =
+        a.segment_info(static_cast<size_t>(id.value()));
+    EXPECT_EQ(got.layout, want.layout) << want.in_arr << " -> " << want.out_arr;
+    EXPECT_EQ(got.length, want.length) << want.in_arr << " -> " << want.out_arr;
+    EXPECT_EQ(got.checksum, want.checksum)
+        << want.in_arr << " -> " << want.out_arr;
+    EXPECT_EQ(a.SegmentView(static_cast<size_t>(id.value())),
+              b.SegmentView(i));
+  }
+
+  auto appended_log = DSLog::OpenInSitu(appended_path);
+  auto saved_log = DSLog::OpenInSitu(saved_path);
+  ASSERT_TRUE(appended_log.ok() && saved_log.ok());
+  const std::vector<LogVariant> variants = {
+      {&appended_log.value(), "appended"}, {&saved_log.value(), "saved"}};
+  Rng rng(seed * 17 + 3);
+  for (size_t k = 0; k < dags.size(); ++k) {
+    const RandomDag& dag = dags[k];
+    const int n = static_cast<int>(dag.rels.size());
+    if (n == 0) continue;
+    const std::string prefix = "p" + std::to_string(k) + "_";
+    std::vector<std::string> path;
+    for (const std::string& name : dag.names) path.push_back(prefix + name);
+    {
+      std::vector<int64_t> cells = SampleCells(dag.shapes[0], 8, &rng);
+      BoxTable q =
+          BoxTable::FromCells(static_cast<int>(dag.shapes[0].size()), cells);
+      std::vector<RelationHop> rhops;
+      for (int i = 0; i < n; ++i) rhops.push_back({&dag.rels[i], true});
+      ExpectMatchesOracle(variants, path, q, rhops, cells,
+                          static_cast<int>(dag.shapes.back().size()),
+                          "append forward dag=" + std::to_string(k));
+    }
+    {
+      std::vector<int64_t> cells = SampleCells(dag.shapes.back(), 8, &rng);
+      BoxTable q = BoxTable::FromCells(
+          static_cast<int>(dag.shapes.back().size()), cells);
+      std::vector<std::string> back(path.rbegin(), path.rend());
+      std::vector<RelationHop> rhops;
+      for (int i = n - 1; i >= 0; --i) rhops.push_back({&dag.rels[i], false});
+      ExpectMatchesOracle(variants, back, q, rhops, cells,
+                          static_cast<int>(dag.shapes[0].size()),
+                          "append backward dag=" + std::to_string(k));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AppendDifferentialTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------- AoS join oracle --
 

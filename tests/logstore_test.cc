@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "common/io.h"
+#include "common/metrics.h"
 #include "common/mmap_file.h"
 #include "compress/varint.h"
 #include "common/random.h"
@@ -32,6 +33,7 @@ namespace dslog {
 namespace {
 
 using test_util::ToTupleSet;
+using test_util::TupleSet;
 
 std::string TestPath(const std::string& name) {
   return ScratchDir() + "/" + name;
@@ -427,6 +429,131 @@ TEST(LogStoreTest, AppendRepersistsEdgeWhoseLineageChanged) {
   const auto size_before = std::filesystem::file_size(path);
   ASSERT_TRUE(log.AppendLogStore(path).ok());
   EXPECT_EQ(std::filesystem::file_size(path), size_before);
+}
+
+/// Deltas of the append counters around one AppendLogStore call.
+struct AppendDelta {
+  int64_t appends = 0;
+  int64_t written = 0;
+  int64_t skipped = 0;
+  int64_t footer_bytes = 0;
+};
+
+AppendDelta CountedAppend(const DSLog& log, const std::string& path) {
+  metrics::Registry& reg = metrics::Registry::Global();
+  metrics::Histogram& append_us = reg.histogram("dslog.logstore.append_us");
+  metrics::Counter& written =
+      reg.counter("dslog.logstore.append_segments_written");
+  metrics::Counter& skipped =
+      reg.counter("dslog.logstore.append_segments_skipped");
+  metrics::Counter& footer = reg.counter("dslog.logstore.append_footer_bytes");
+  const AppendDelta before{append_us.count(), written.Value(), skipped.Value(),
+                           footer.Value()};
+  EXPECT_TRUE(log.AppendLogStore(path).ok());
+  return {append_us.count() - before.appends,
+          written.Value() - before.written, skipped.Value() - before.skipped,
+          footer.Value() - before.footer_bytes};
+}
+
+/// The file's bytes up to its footer: header plus every segment.
+std::string SegmentArea(const std::string& path) {
+  const std::string bytes = ReadFileToString(path).ValueOrDie();
+  size_t pos = bytes.size() - 20;  // trailer: fixed64 footer_offset first
+  uint64_t footer_offset = 0;
+  EXPECT_TRUE(GetFixed64(bytes, &pos, &footer_offset));
+  return bytes.substr(0, static_cast<size_t>(footer_offset));
+}
+
+TEST(LogStoreTest, AppendWithNothingNewWritesNoSegment) {
+  // Over a columnar store (digest compare) and a gzip store (serialize and
+  // compare): new edges are written, persisted ones skipped, and an append
+  // with nothing new leaves the segment area — indeed the whole file —
+  // byte for byte as it was.
+  for (SegmentLayout layout :
+       {SegmentLayout::kColumnar, SegmentLayout::kProvRcGzip}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    const std::string path = TestPath("append_skip.dsl");
+    DSLog log;
+    BuildChain(&log, 0, 4, 16);
+    ASSERT_TRUE(log.SaveLogStore(path, layout).ok());
+    BuildChain(&log, 4, 4, 16);
+
+    const AppendDelta first = CountedAppend(log, path);
+    EXPECT_EQ(first.appends, 1);
+    EXPECT_EQ(first.written, 4);
+    EXPECT_EQ(first.skipped, 4);
+    EXPECT_GT(first.footer_bytes, 0);
+
+    const std::string file_before = ReadFileToString(path).ValueOrDie();
+    const std::string area_before = SegmentArea(path);
+    const AppendDelta again = CountedAppend(log, path);
+    EXPECT_EQ(again.appends, 1);
+    EXPECT_EQ(again.written, 0);
+    EXPECT_EQ(again.skipped, 8);
+    EXPECT_EQ(SegmentArea(path), area_before);
+    EXPECT_EQ(ReadFileToString(path).ValueOrDie(), file_before);
+
+    auto opened = DSLog::OpenInSitu(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto got =
+        opened.value().ProvQuery(ChainPath(0, 8), BoxTable::FromCells(1, {9}));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().ExpandToCells(), (std::vector<int64_t>{9}));
+  }
+}
+
+TEST(LogStoreTest, InSituAppendSkipsEveryMappedEdge) {
+  // An in-situ catalog appended back to its own file: the mapped edges are
+  // matched by their footer records (no segment byte hashed) and skipped;
+  // only the newly registered ones are written.
+  const std::string path = TestPath("insitu_append.dsl");
+  DSLog oracle;
+  BuildChain(&oracle, 0, 9, 16);
+  {
+    DSLog log;
+    BuildChain(&log, 0, 6, 16);
+    ASSERT_TRUE(log.SaveLogStore(path).ok());
+  }
+  const BoxTable q = BoxTable::FromCells(1, {3, 11});
+  const std::vector<std::vector<std::string>> paths = {ChainPath(0, 9),
+                                                       ChainPath(9, 0)};
+  std::vector<TupleSet> answers;
+  {
+    auto opened = DSLog::OpenInSitu(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DSLog& insitu = opened.value();
+    BuildChain(&insitu, 6, 3, 16);
+    for (const auto& p : paths) {
+      auto got = insitu.ProvQuery(p, q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      answers.push_back(ToTupleSet(got.value().ExpandToCells(), 1));
+    }
+    const std::string area_before = SegmentArea(path);
+    const AppendDelta delta = CountedAppend(insitu, path);
+    EXPECT_EQ(delta.written, 3);
+    EXPECT_EQ(delta.skipped, 6);
+    // The old segments are untouched; the new ones land after them.
+    const std::string area_after = SegmentArea(path);
+    EXPECT_EQ(area_after.substr(0, area_before.size()), area_before);
+    // The in-situ catalog's mapping now sees a rewritten footer region, so
+    // it is dropped here and the file reopened.
+  }
+
+  auto reopened = DSLog::OpenInSitu(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().log_store()->segment_count(), 9u);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    auto got = reopened.value().ProvQuery(paths[i], q);
+    auto want = oracle.ProvQuery(paths[i], q);
+    ASSERT_TRUE(got.ok() && want.ok()) << got.status().ToString();
+    EXPECT_EQ(ToTupleSet(got.value().ExpandToCells(), 1), answers[i]);
+    EXPECT_EQ(answers[i], ToTupleSet(want.value().ExpandToCells(), 1));
+  }
+
+  // A fresh in-situ catalog with nothing new skips every mapped edge.
+  const AppendDelta none = CountedAppend(reopened.value(), path);
+  EXPECT_EQ(none.written, 0);
+  EXPECT_EQ(none.skipped, 9);
 }
 
 TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {

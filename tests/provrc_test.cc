@@ -10,6 +10,7 @@
 #include "array/ndarray.h"
 #include "array/op.h"
 #include "array/op_registry.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "lineage/lineage_relation.h"
 #include "provrc/compressed_table.h"
@@ -436,6 +437,80 @@ TEST(ReshapeTest, NoSymbolicCellsForConstantLineage) {
   rel.Add({&o, 1}, {&i, 1});
   GeneralizedTable gen = GeneralizedTable::Generalize(ProvRcCompress(rel));
   EXPECT_FALSE(gen.has_symbolic_cells());
+}
+
+// ------------------------------------------------------- columnar digest --
+
+/// The digest the appender trusts: {size, Hash64} of the columnar image,
+/// computed from scratch.
+ColumnarDigest FreshDigest(const CompressedTable& table) {
+  const std::string image = SerializeCompressedTableColumnar(table);
+  return {image.size(), Hash64(image)};
+}
+
+CompressedTable DigestTestTable() {
+  CompressedTable table({8}, {8});
+  table.AddRow(CompressedRow{{{0, 3}}, {InputCell::Relative(0, {0, 0})}});
+  table.AddRow(CompressedRow{{{4, 7}}, {InputCell::Absolute({1, 2})}});
+  return table;
+}
+
+TEST(ColumnarDigestTest, EqualsSizeAndHashOfColumnarImage) {
+  const CompressedTable table = DigestTestTable();
+  EXPECT_EQ(table.columnar_digest(), FreshDigest(table));
+  EXPECT_EQ(table.columnar_digest(), FreshDigest(table));  // memoized
+  const CompressedTable empty;
+  EXPECT_EQ(empty.columnar_digest(), FreshDigest(empty));
+}
+
+TEST(ColumnarDigestTest, EveryMutationDropsTheMemo) {
+  // Each mutator runs on a table whose digest was already taken; the memo
+  // must follow the new content, never the stale image.
+  CompressedTable table = DigestTestTable();
+  ColumnarDigest before = table.columnar_digest();
+
+  table.set_out_iv(1, 0, {5, 7});
+  EXPECT_NE(table.columnar_digest(), before);
+  EXPECT_EQ(table.columnar_digest(), FreshDigest(table));
+  before = table.columnar_digest();
+
+  table.set_in_iv(0, 0, {-1, 1});
+  EXPECT_NE(table.columnar_digest(), before);
+  EXPECT_EQ(table.columnar_digest(), FreshDigest(table));
+  before = table.columnar_digest();
+
+  table.AddRow(CompressedRow{{{0, 0}}, {InputCell::Absolute({7, 7})}});
+  EXPECT_NE(table.columnar_digest(), before);
+  EXPECT_EQ(table.columnar_digest(), FreshDigest(table));
+}
+
+TEST(ColumnarDigestTest, CopyAndMoveTargetsCarryTheirOwnContentsDigest) {
+  CompressedTable source = DigestTestTable();
+  const ColumnarDigest digest = source.columnar_digest();
+
+  CompressedTable copy(source);
+  EXPECT_EQ(copy.columnar_digest(), digest);
+  copy.set_out_iv(0, 0, {0, 2});  // the copy's mutation leaves source alone
+  EXPECT_EQ(copy.columnar_digest(), FreshDigest(copy));
+  EXPECT_EQ(source.columnar_digest(), digest);
+
+  CompressedTable assigned = DigestTestTable();
+  assigned.AddRow(CompressedRow{{{1, 1}}, {InputCell::Absolute({0, 0})}});
+  (void)assigned.columnar_digest();  // a memo the assignment must replace
+  assigned = copy;
+  EXPECT_EQ(assigned.columnar_digest(), FreshDigest(copy));
+
+  CompressedTable moved(std::move(copy));
+  EXPECT_EQ(moved.columnar_digest(), FreshDigest(moved));
+  CompressedTable move_assigned = DigestTestTable();
+  (void)move_assigned.columnar_digest();
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.columnar_digest(), FreshDigest(move_assigned));
+  EXPECT_EQ(move_assigned.columnar_digest(), FreshDigest(assigned));
+
+  // A moved-from table is valid and empty; its digest is its own.
+  EXPECT_EQ(moved.columnar_digest(), FreshDigest(moved));
+  EXPECT_NE(moved.columnar_digest(), digest);
 }
 
 }  // namespace

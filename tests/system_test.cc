@@ -10,6 +10,7 @@
 
 #include "array/ndarray.h"
 #include "array/op_registry.h"
+#include "common/hash.h"
 #include "common/io.h"
 #include "common/random.h"
 #include "explain/explain.h"
@@ -428,6 +429,56 @@ void ExpectPromotedLookups(const ReusePredictor& r, int n,
   }
 }
 
+/// Lineage over `n` cells: identity, or out i <- in (i + 1) mod n.
+CompressedTable LineTable(int64_t n, bool shifted) {
+  LineageRelation rel(1, 1);
+  rel.set_shapes({n}, {n});
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t tuple[2] = {i, shifted ? (i + 1) % n : i};
+    rel.AddTuple(tuple);
+  }
+  return ProvRcCompress(rel);
+}
+
+/// One registration of TransitionScript().
+struct ScriptStep {
+  const char* op;
+  int64_t n;  // input and output length
+  uint64_t content;
+  bool shifted;  // shifted lineage instead of identity
+};
+
+/// Registrations that walk dim and gen entries through every promotion
+/// state: tentative, promoted, rejected by mismatch and by misprediction,
+/// plus base hits.
+std::vector<ScriptStep> TransitionScript() {
+  return {
+      {"ew", 8, 1, false},   // dim + gen tentative
+      {"ew", 8, 1, false},   // base hit; dim promoted
+      {"ew", 12, 2, false},  // gen promoted (other shape)
+      {"t", 8, 3, false},    // tentative
+      {"t", 8, 4, true},     // dim rejected (mismatch)
+      {"t", 12, 9, true},    // gen rejected (mismatch at another shape)
+      {"ew", 8, 5, true},    // dim misprediction -> rejected
+      {"ew", 16, 6, true},   // gen misprediction -> rejected
+      {"g", 8, 7, false},    // tentative
+      {"g", 10, 8, false},   // gen promoted, dim entry per shape
+      {"g", 8, 7, false},    // base hit; dim promoted
+      {"t", 8, 3, false},    // rejected entries stay rejected
+  };
+}
+
+void Feed(ReusePredictor* p, const std::vector<ScriptStep>& steps,
+          size_t from, size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    const ScriptStep& s = steps[i];
+    OpArgs args;
+    args.SetInt("k", 1);
+    p->ProcessRegistration(s.op, args, {{s.n}}, {s.n}, s.content,
+                           {LineTable(s.n, s.shifted)});
+  }
+}
+
 }  // namespace predictor_state_test
 
 TEST(ReusePredictorTest, SealedStateRoundTripsAndServesPromotedLookups) {
@@ -499,6 +550,60 @@ TEST(ReusePredictorTest, CorruptSealSectionIsRejectedWithoutStateChange) {
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
     predictor_state_test::ExpectPromotedLookups(r, 4, tables);
+  }
+}
+
+/// Size and Hash64 of the RPS1 blob of the whole TransitionScript. Entries
+/// keep cached encodings, so these pin the bytes a predictor that encodes
+/// every table afresh writes; every store file's predictor blob depends on
+/// them.
+constexpr size_t kTransitionScriptBlobSize = 861;
+constexpr uint64_t kTransitionScriptBlobHash = 13337331073806809898ull;
+
+TEST(ReusePredictorTest, RestoredStateReserializesByteForByte) {
+  const auto steps = predictor_state_test::TransitionScript();
+  for (size_t cut = 0; cut <= steps.size(); ++cut) {
+    ReusePredictor p;
+    predictor_state_test::Feed(&p, steps, 0, cut);
+    const std::string blob = p.SerializeState();
+    ReusePredictor r;
+    ASSERT_TRUE(r.RestoreState(blob).ok());
+    EXPECT_EQ(r.SerializeState(), blob) << "cut " << cut;
+  }
+  // The full script reaches every state.
+  ReusePredictor p;
+  predictor_state_test::Feed(&p, steps, 0, steps.size());
+  const ReuseStats st = p.stats();
+  EXPECT_GT(st.base_hits, 0);
+  EXPECT_GT(st.dim_promotions, 0);
+  EXPECT_GT(st.gen_promotions, 0);
+  EXPECT_GT(st.dim_rejections, 0);
+  EXPECT_GT(st.gen_rejections, 0);
+  EXPECT_GT(st.mispredictions, 0);
+  // The RPS1 bytes of this script as the format defines them; a change
+  // here changes every store file's predictor blob.
+  const std::string blob = p.SerializeState();
+  EXPECT_EQ(blob.size(), kTransitionScriptBlobSize);
+  EXPECT_EQ(Hash64(blob), kTransitionScriptBlobHash);
+}
+
+TEST(ReusePredictorTest, TransitionsAfterRestoreMatchAFreshPredictor) {
+  // Entries restored from a blob carry their encoded bytes from the blob;
+  // the state changes that follow must never leave a stale encoding.
+  const auto steps = predictor_state_test::TransitionScript();
+  for (size_t cut = 0; cut <= steps.size(); ++cut) {
+    ReusePredictor head;
+    predictor_state_test::Feed(&head, steps, 0, cut);
+    ReusePredictor resumed;
+    ASSERT_TRUE(resumed.RestoreState(head.SerializeState()).ok());
+    ReusePredictor fresh;
+    predictor_state_test::Feed(&fresh, steps, 0, cut);
+    for (size_t i = cut; i < steps.size(); ++i) {
+      predictor_state_test::Feed(&resumed, steps, i, i + 1);
+      predictor_state_test::Feed(&fresh, steps, i, i + 1);
+      EXPECT_EQ(resumed.SerializeState(), fresh.SerializeState())
+          << "cut " << cut << " step " << i;
+    }
   }
 }
 
