@@ -47,7 +47,6 @@ std::string OutArr(int64_t j) {
 struct SegmentPayload {
   std::string bytes;
   int64_t row_count = 0;
-  IntervalColumnStats out0_stats;
 };
 
 SegmentPayload MakePayload() {
@@ -58,7 +57,6 @@ SegmentPayload MakePayload() {
   SegmentPayload payload;
   payload.bytes = SerializeCompressedTableColumnar(table);
   payload.row_count = table.num_rows();
-  payload.out0_stats = ComputeOut0Stats(table);
   return payload;
 }
 
@@ -76,7 +74,7 @@ void BuildStore(const std::string& path, int64_t edges, int64_t side,
     for (int64_t j = 0; j < side && written < edges; ++j) {
       Status st = writer.value().AppendRawSegment(
           InArr(i), OutArr(j), "op", payload.bytes, SegmentLayout::kColumnar,
-          payload.row_count, payload.out0_stats);
+          payload.row_count);
       DSLOG_CHECK(st.ok()) << st.ToString();
       ++written;
     }

@@ -114,42 +114,6 @@ void BM_BackwardThetaJoinWide(benchmark::State& state) {
 }
 BENCHMARK(BM_BackwardThetaJoinWide)->Arg(1 << 12)->Arg(1 << 15);
 
-// The planner-calibration sweep: backward join over the wide table at a
-// controlled selectivity (probes of width sel_ppm * domain / 1e6 overlap
-// about that fraction of the rows, whose out-attr-0 intervals tile the
-// domain), with the access path forced per JoinPath value (0 = auto). The
-// measured per-path curves are what the cost constants in
-// query/join_planner.cc are fitted to, and the committed crossover table
-// in docs/ARCHITECTURE.md renders them.
-void BM_BackwardJoinSweep(benchmark::State& state) {
-  const int64_t rows = state.range(0);
-  const int64_t sel_ppm = state.range(1);
-  const auto path = static_cast<JoinPath>(state.range(2));
-  CompressedTable table = MakeWideTable(rows);
-  const int64_t domain = rows * 4;
-  const int64_t width =
-      std::max<int64_t>(1, domain * sel_ppm / 1000000);
-  Rng rng(11);
-  BoxTable q(2);
-  for (int i = 0; i < 16; ++i) {
-    Interval box[2] = {{0, 0}, {0, 63}};
-    box[0].lo = rng.UniformRange(0, std::max<int64_t>(0, domain - width));
-    box[0].hi = box[0].lo + width - 1;
-    q.AddBox(box);
-  }
-  for (auto _ : state) {
-    BoxTable r = BackwardThetaJoin(q, table, 1, false, path);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(JoinPathName(path));
-  state.SetItemsProcessed(state.iterations() * table.num_rows());
-}
-BENCHMARK(BM_BackwardJoinSweep)
-    ->ArgNames({"rows", "sel_ppm", "path"})
-    ->ArgsProduct({{1 << 12, 1 << 15},
-                   {100, 1000, 10000, 100000, 300000, 1000000},
-                   {0, 1, 2, 3}});
-
 void BM_ForwardThetaJoin(benchmark::State& state) {
   CompressedTable table = ProvRcCompress(MakeSortLineage(state.range(0)));
   Rng rng(7);

@@ -1,33 +1,22 @@
-// Portable SIMD primitives for the θ-join kernels: AVX2 on x86-64, NEON on
-// aarch64, and a branchless scalar fallback everywhere else — selected at
-// compile time (no runtime dispatch, so the kernels inline flat).
+// Compile-time vector-ISA selection: AVX2 on x86-64, NEON on aarch64, and
+// scalar everywhere else. No kernel branches on it; the macros and
+// kIsaName let benches and QueryProfile::simd_isa record which ISA the
+// library was compiled for.
 //
-// The primitives are *filters over contiguous int64 columns*: given the
-// interval-index's sorted lo/hi arrays, they compact the positions whose
-// interval satisfies a bound test into a position buffer. Every variant
-// (including scalar) emits positions in ascending order and keeps the exact
-// semantics of the scalar comparison, so the query paths built on top are
-// bit-identical across ISAs — the differential suites assert this.
-//
-// Build knobs: -DDSLOG_SIMD_FORCE_SCALAR compiles the scalar fallback on
-// any ISA (the CMake option DSLOG_SIMD=OFF sets it; CI runs one job this
-// way). On x86-64 the vector path needs -mavx2, which the top-level
-// CMakeLists adds when the compiler supports it.
+// Build knobs: -DDSLOG_SIMD_FORCE_SCALAR selects "scalar" on any ISA (the
+// CMake option DSLOG_SIMD=OFF sets it; CI runs one job this way). On
+// x86-64 the AVX2 selection needs -mavx2, which the top-level CMakeLists
+// adds when the compiler supports it.
 
 #ifndef DSLOG_COMMON_SIMD_H_
 #define DSLOG_COMMON_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 #if defined(DSLOG_SIMD_FORCE_SCALAR)
-// Scalar fallback requested explicitly.
+// Scalar requested explicitly.
 #elif defined(__AVX2__)
 #define DSLOG_SIMD_AVX2 1
-#include <immintrin.h>
 #elif defined(__aarch64__) || defined(__ARM_NEON)
 #define DSLOG_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace dslog {
@@ -35,110 +24,11 @@ namespace simd {
 
 #if defined(DSLOG_SIMD_AVX2)
 inline constexpr const char* kIsaName = "avx2";
-inline constexpr int kInt64Lanes = 4;
 #elif defined(DSLOG_SIMD_NEON)
 inline constexpr const char* kIsaName = "neon";
-inline constexpr int kInt64Lanes = 2;
 #else
 inline constexpr const char* kIsaName = "scalar";
-inline constexpr int kInt64Lanes = 1;
 #endif
-
-/// Appends to `out` every position i in [0, n) with
-/// lo[i] <= probe_hi && hi[i] >= probe_lo, ascending. Returns the count.
-/// `out` must have room for n entries. This is the full-scan overlap filter
-/// over the index's sorted columns.
-inline size_t FilterOverlapping(const int64_t* lo, const int64_t* hi,
-                                size_t n, int64_t probe_lo, int64_t probe_hi,
-                                int32_t* out) {
-  size_t count = 0;
-  size_t i = 0;
-#if defined(DSLOG_SIMD_AVX2)
-  const __m256i vphi = _mm256_set1_epi64x(probe_hi);
-  const __m256i vplo = _mm256_set1_epi64x(probe_lo);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vlo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lo + i));
-    const __m256i vhi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hi + i));
-    // miss = lo > probe_hi || probe_lo > hi; movemask compacts the four
-    // 64-bit lane signs into one nibble.
-    const __m256i miss = _mm256_or_si256(_mm256_cmpgt_epi64(vlo, vphi),
-                                         _mm256_cmpgt_epi64(vplo, vhi));
-    unsigned mask =
-        ~static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(miss))) &
-        0xFu;
-    while (mask != 0) {
-      const unsigned bit = static_cast<unsigned>(__builtin_ctz(mask));
-      out[count++] = static_cast<int32_t>(i + bit);
-      mask &= mask - 1;
-    }
-  }
-#elif defined(DSLOG_SIMD_NEON)
-  const int64x2_t vphi = vdupq_n_s64(probe_hi);
-  const int64x2_t vplo = vdupq_n_s64(probe_lo);
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t vlo = vld1q_s64(lo + i);
-    const int64x2_t vhi = vld1q_s64(hi + i);
-    const uint64x2_t hit = vandq_u64(vcleq_s64(vlo, vphi),
-                                     vcgeq_s64(vhi, vplo));
-    out[count] = static_cast<int32_t>(i);
-    count += vgetq_lane_u64(hit, 0) & 1;
-    out[count] = static_cast<int32_t>(i + 1);
-    count += vgetq_lane_u64(hit, 1) & 1;
-  }
-#endif
-  // Scalar tail (and the whole loop on scalar builds): branchless compact —
-  // the position is always written, the cursor advances only on a hit.
-  for (; i < n; ++i) {
-    out[count] = static_cast<int32_t>(i);
-    count += static_cast<size_t>((lo[i] <= probe_hi) & (hi[i] >= probe_lo));
-  }
-  return count;
-}
-
-/// Appends to `out` every position i in [0, n) with hi[i] >= bound,
-/// ascending. Returns the count. This is the sorted-sweep filter: the
-/// caller has already bounded the prefix whose lo <= probe.hi by binary
-/// search, so only the hi condition remains.
-inline size_t FilterHiGe(const int64_t* hi, size_t n, int64_t bound,
-                         int32_t* out) {
-  size_t count = 0;
-  size_t i = 0;
-#if defined(DSLOG_SIMD_AVX2)
-  const __m256i vbound = _mm256_set1_epi64x(bound);
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vhi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hi + i));
-    const __m256i miss = _mm256_cmpgt_epi64(vbound, vhi);
-    unsigned mask =
-        ~static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(miss))) &
-        0xFu;
-    while (mask != 0) {
-      const unsigned bit = static_cast<unsigned>(__builtin_ctz(mask));
-      out[count++] = static_cast<int32_t>(i + bit);
-      mask &= mask - 1;
-    }
-  }
-#elif defined(DSLOG_SIMD_NEON)
-  const int64x2_t vbound = vdupq_n_s64(bound);
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t vhi = vld1q_s64(hi + i);
-    const uint64x2_t hit = vcgeq_s64(vhi, vbound);
-    out[count] = static_cast<int32_t>(i);
-    count += vgetq_lane_u64(hit, 0) & 1;
-    out[count] = static_cast<int32_t>(i + 1);
-    count += vgetq_lane_u64(hit, 1) & 1;
-  }
-#endif
-  for (; i < n; ++i) {
-    out[count] = static_cast<int32_t>(i);
-    count += static_cast<size_t>(hi[i] >= bound);
-  }
-  return count;
-}
 
 }  // namespace simd
 }  // namespace dslog

@@ -4,16 +4,11 @@
 #include <bit>
 #include <limits>
 
-#include "common/check.h"
-
 namespace dslog {
 
 IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
                              int64_t stride) {
   if (n <= 0) return;
-  // Candidate positions compact into int32 buffers (common/simd.h).
-  DSLOG_CHECK(n <= std::numeric_limits<int32_t>::max())
-      << "interval index over >2^31 rows";
   const size_t count = static_cast<size_t>(n);
   // Gather into flat items first so the sort runs over contiguous memory
   // instead of strided arena loads through an indirection.
@@ -44,16 +39,6 @@ IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
   for (size_t i = 0; i < count; ++i) tree_[leaf_count_ + i] = hi_[i];
   for (size_t node = leaf_count_ - 1; node >= 1; --node)
     tree_[node] = std::max(tree_[2 * node], tree_[2 * node + 1]);
-
-  // Exact column stats for the join planner, one pass over the sorted
-  // columns (the sort already paid the cache traffic).
-  stats_.row_count = n;
-  stats_.min_lo = lo_.front();
-  stats_.max_lo = lo_.back();
-  stats_.max_hi = tree_[1];
-  int64_t sum_width = 0;
-  for (size_t i = 0; i < count; ++i) sum_width += hi_[i] - lo_[i] + 1;
-  stats_.sum_width = sum_width;
 }
 
 }  // namespace dslog

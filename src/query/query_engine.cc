@@ -18,22 +18,18 @@ namespace dslog {
 
 namespace {
 
-constexpr const char* kAccessPathNames[3] = {"index_probe", "sorted_sweep",
-                                             "full_scan"};
-
 /// One hop's θ-join, dispatched by direction/representation. `counters`
 /// rides through to the kernels (nullptr = unprofiled).
 BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
-                bool merge, JoinPath join_path, JoinCounters* counters) {
+                bool merge, JoinCounters* counters) {
   if (hop.forward) {
     return hop.forward_table != nullptr
-               ? hop.forward_table->Join(current, num_threads, merge,
-                                         join_path, counters)
+               ? hop.forward_table->Join(current, num_threads, merge, counters)
                : ForwardThetaJoin(current, hop.table, num_threads, merge,
-                                  join_path, counters);
+                                  counters);
   }
   return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
-                           join_path, &hop.stats, counters);
+                           counters);
 }
 
 }  // namespace
@@ -54,8 +50,8 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
 
   if (!options.profile || profile == nullptr) {
     // The unprofiled hot path: identical join calls to every prior
-    // release, plus two relaxed counter adds per query/hop — no planner
-    // estimates, no clock reads, no atomics inside the kernels.
+    // release, plus two relaxed counter adds per query/hop — no clock
+    // reads, no atomics inside the kernels.
     BoxTable current = query;
     for (const QueryHop& hop : hops) {
       // Inter-hop cancellation boundary: a cancelled query abandons its
@@ -63,8 +59,7 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
       // to Status::Cancelled; bare callers poll the token themselves).
       if (options.cancel != nullptr && options.cancel->ShouldStop())
         return BoxTable();
-      current = RunHop(hop, current, num_threads, merge, options.join_path,
-                       nullptr);
+      current = RunHop(hop, current, num_threads, merge, nullptr);
       hops_run.Increment();
       if (current.empty()) break;
     }
@@ -98,26 +93,18 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
     hp.forward = hop.forward;
     hp.used_forward_table = hop.forward && hop.forward_table != nullptr;
     hp.table_rows = hop.table.num_rows;
-    hp.requested_path = options.join_path;
     trace::Span hop_span(hop.forward ? "hop.forward" : "hop.backward",
                          "query");
     hop_span.Arg("hop", static_cast<int64_t>(h));
     hop_span.Arg("query_boxes", current.num_boxes());
     JoinCounters counters;
     WallTimer hop_timer;
-    current = RunHop(hop, current, num_threads, merge, options.join_path,
-                     &counters);
+    current = RunHop(hop, current, num_threads, merge, &counters);
     hp.wall_ms = hop_timer.ElapsedMillis();
     hp.probes = counters.probes.load(std::memory_order_relaxed);
     hp.rows_scanned = counters.rows_scanned.load(std::memory_order_relaxed);
     hp.rows_emitted = counters.rows_emitted.load(std::memory_order_relaxed);
     hp.result_boxes = current.num_boxes();
-    hp.est_rows = counters.est_rows();
-    for (int k = 0; k < 3; ++k) {
-      hp.path_probes[k] =
-          counters.path_probes[k].load(std::memory_order_relaxed);
-      hp.est_cost_ns[k] = counters.est_cost_ns(k);
-    }
     hops_run.Increment();
     hop_span.Arg("rows_scanned", hp.rows_scanned);
     hop_span.Arg("result_boxes", hp.result_boxes);
@@ -194,21 +181,7 @@ std::string QueryProfile::ToJson() const {
            ", \"rows_scanned\": " + Num(static_cast<double>(hp.rows_scanned)) +
            ", \"rows_emitted\": " + Num(static_cast<double>(hp.rows_emitted)) +
            ", \"result_boxes\": " + Num(static_cast<double>(hp.result_boxes)) +
-           ", \"requested_path\": " +
-           ProfileJsonEscape(JoinPathName(hp.requested_path)) +
-           ", \"est_rows\": " + Num(hp.est_rows) + ", \"path_probes\": {";
-    for (int k = 0; k < 3; ++k) {
-      if (k > 0) out += ", ";
-      out += ProfileJsonEscape(kAccessPathNames[k]) + ": " +
-             Num(static_cast<double>(hp.path_probes[k]));
-    }
-    out += "}, \"est_cost_ns\": {";
-    for (int k = 0; k < 3; ++k) {
-      if (k > 0) out += ", ";
-      out += ProfileJsonEscape(kAccessPathNames[k]) + ": " +
-             Num(hp.est_cost_ns[k]);
-    }
-    out += "}, \"wall_ms\": " + Num(hp.wall_ms) + "}";
+           ", \"wall_ms\": " + Num(hp.wall_ms) + "}";
   }
   out += "\n]}";
   return out;
@@ -229,21 +202,15 @@ std::string QueryProfile::ToText() const {
                            : hp.in_arr + " -> " + hp.out_arr;
     std::snprintf(buf, sizeof(buf),
                   "  hop %zu [%s%s] %s: rows=%" PRId64 " probes=%" PRId64
-                  " scanned=%" PRId64 " (est %.0f) emitted=%" PRId64
-                  " -> %" PRId64 " boxes, %.3f ms\n",
+                  " scanned=%" PRId64 " emitted=%" PRId64 " -> %" PRId64
+                  " boxes, %.3f ms\n",
                   h, hp.forward ? "fwd" : "bwd",
                   hp.used_forward_table ? "+table" : "", edge.c_str(),
-                  hp.table_rows, hp.probes, hp.rows_scanned, hp.est_rows,
-                  hp.rows_emitted, hp.result_boxes, hp.wall_ms);
+                  hp.table_rows, hp.probes, hp.rows_scanned, hp.rows_emitted,
+                  hp.result_boxes, hp.wall_ms);
     out += buf;
     std::snprintf(
-        buf, sizeof(buf),
-        "        paths: probe=%" PRId64 " sweep=%" PRId64 " scan=%" PRId64
-        "%s%s; storage: %s%s\n",
-        hp.path_probes[0], hp.path_probes[1], hp.path_probes[2],
-        hp.requested_path == JoinPath::kAuto ? "" : " forced=",
-        hp.requested_path == JoinPath::kAuto ? ""
-                                             : JoinPathName(hp.requested_path),
+        buf, sizeof(buf), "        storage: %s%s\n",
         !hp.from_store    ? "resident"
         : hp.cache_hit    ? "cache-hit"
         : hp.borrowed     ? "borrowed"

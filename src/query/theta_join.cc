@@ -1,7 +1,6 @@
 #include "query/theta_join.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -21,44 +20,14 @@ struct LocalJoinCounters {
   int64_t probes = 0;
   int64_t rows_scanned = 0;
   int64_t rows_emitted = 0;
-  int64_t path_probes[3] = {0, 0, 0};
-  double est_rows = 0.0;
-  double est_cost_ns[3] = {0.0, 0.0, 0.0};
 
   void FlushTo(JoinCounters* counters) const {
     if (counters == nullptr) return;
     counters->probes.fetch_add(probes, std::memory_order_relaxed);
     counters->rows_scanned.fetch_add(rows_scanned, std::memory_order_relaxed);
     counters->rows_emitted.fetch_add(rows_emitted, std::memory_order_relaxed);
-    counters->est_rows_x1000.fetch_add(
-        static_cast<int64_t>(std::llround(est_rows * 1000.0)),
-        std::memory_order_relaxed);
-    for (int k = 0; k < 3; ++k) {
-      counters->path_probes[k].fetch_add(path_probes[k],
-                                         std::memory_order_relaxed);
-      counters->est_cost_ns_x1000[k].fetch_add(
-          static_cast<int64_t>(std::llround(est_cost_ns[k] * 1000.0)),
-          std::memory_order_relaxed);
-    }
   }
 };
-
-// Per-probe path resolution, profiled flavor: records the planner's cost
-// breakdown alongside the (identical) decision. The unprofiled kernels
-// call ResolveAccessPath directly instead — no estimates, no bookkeeping.
-AccessPath ResolveAndRecord(JoinPath join_path, const Interval& probe,
-                            const IntervalColumnStats& stats,
-                            LocalJoinCounters* local) {
-  const PathCostEstimate e = EstimateAccessPathCosts(probe, stats);
-  const AccessPath path = join_path == JoinPath::kAuto
-                              ? e.chosen
-                              : ResolveAccessPath(join_path, probe, stats);
-  ++local->probes;
-  ++local->path_probes[static_cast<int>(path)];
-  local->est_rows += e.est_rows;
-  for (int k = 0; k < 3; ++k) local->est_cost_ns[k] += e.cost_ns[k];
-  return path;
-}
 
 // Pairwise tree reduction of per-worker output arenas on the shared pool.
 // Round k combines fixed index pairs (2p, 2p+1) — an odd tail rides to the
@@ -130,38 +99,21 @@ BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
                         num_threads);
 }
 
-// Planner input for a kernel: caller-provided stats (from the hop's
-// footer entry) when valid, else the index's exact build-time stats.
-const IntervalColumnStats& EffectiveStats(const IntervalColumnStats* stats,
-                                          const IntervalIndex& index) {
-  return (stats != nullptr && stats->valid()) ? *stats : index.stats();
-}
-
-// Single-threaded backward kernel over the columns. Each query box
-// resolves its access path (forced or planned per probe) and enumerates
-// the index through it; the candidate positions of the vectorized paths
-// compact into `scratch` (common/simd.h), reused across boxes. Candidate
-// emission order is path-invariant, so so is the output.
+// Single-threaded backward kernel over the columns: each query box probes
+// the index and joins the overlapping rows it enumerates.
 BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
-                        const IntervalIndex& index, JoinPath join_path,
-                        const IntervalColumnStats& stats,
-                        JoinCounters* counters) {
+                        const IntervalIndex& index, JoinCounters* counters) {
   const int32_t l = t.out_ndim;
   const int32_t m = t.in_ndim;
   const int64_t w = t.stride();
   BoxTable result(m);
   std::vector<int64_t> t_lo(static_cast<size_t>(l)), t_hi(static_cast<size_t>(l));
   std::vector<Interval> out_box(static_cast<size_t>(m));
-  std::vector<int32_t> scratch;
   LocalJoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
-    const AccessPath path =
-        counters == nullptr
-            ? ResolveAccessPath(join_path, q[0], stats)
-            : ResolveAndRecord(join_path, q[0], stats, &local);
-    index.ForEachOverlapping(q[0], path, &scratch, [&](int64_t r) {
+    index.ForEachOverlapping(q[0], [&](int64_t r) {
       ++local.rows_scanned;
       const int64_t* row_lo = t.lo + r * w;
       const int64_t* row_hi = t.hi + r * w;
@@ -191,6 +143,7 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
       result.AddBox(out_box);
     });
   }
+  local.probes = query.num_boxes();
   local.rows_emitted = result.num_boxes();
   local.FlushTo(counters);
   return result;
@@ -199,25 +152,18 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
 // Single-threaded forward kernel over the columns, probing `index` (built
 // over the rows' implied absolute input-attribute-0 intervals).
 BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
-                       const IntervalIndex& index, JoinPath join_path,
-                       JoinCounters* counters) {
+                       const IntervalIndex& index, JoinCounters* counters) {
   const int32_t l = t.out_ndim;
   const int32_t m = t.in_ndim;
   const int64_t w = t.stride();
   BoxTable result(l);
   std::vector<Interval> ti(static_cast<size_t>(m));
   std::vector<Interval> out_box(static_cast<size_t>(l));
-  std::vector<int32_t> scratch;
-  const IntervalColumnStats& stats = index.stats();
   LocalJoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
-    const AccessPath path =
-        counters == nullptr
-            ? ResolveAccessPath(join_path, q[0], stats)
-            : ResolveAndRecord(join_path, q[0], stats, &local);
-    index.ForEachOverlapping(q[0], path, &scratch, [&](int64_t r) {
+    index.ForEachOverlapping(q[0], [&](int64_t r) {
       ++local.rows_scanned;
       const int64_t* row_lo = t.lo + r * w;
       const int64_t* row_hi = t.hi + r * w;
@@ -255,6 +201,7 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
       result.AddBox(out_box);
     });
   }
+  local.probes = query.num_boxes();
   local.rows_emitted = result.num_boxes();
   local.FlushTo(counters);
   return result;
@@ -265,9 +212,7 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,
                            const IntervalIndex* index, int num_threads,
-                           bool merge_result, JoinPath join_path,
-                           const IntervalColumnStats* stats,
-                           JoinCounters* counters) {
+                           bool merge_result, JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.out_ndim)
       << "backward query arity mismatch";
   IntervalIndex ephemeral;
@@ -275,34 +220,28 @@ BoxTable BackwardThetaJoin(const BoxTable& query,
     ephemeral = table.BuildBackwardIndex();
     index = &ephemeral;
   }
-  const IntervalColumnStats& effective = EffectiveStats(stats, *index);
   if (num_threads > 1) {
     return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
-                           [&table, index, join_path, &effective,
-                            counters](const BoxTable& q) {
-                             return BackwardKernel(q, table, *index, join_path,
-                                                   effective, counters);
+                           [&table, index, counters](const BoxTable& q) {
+                             return BackwardKernel(q, table, *index, counters);
                            });
   }
-  BoxTable result =
-      BackwardKernel(query, table, *index, join_path, effective, counters);
+  BoxTable result = BackwardKernel(query, table, *index, counters);
   if (merge_result) result.Merge();
   return result;
 }
 
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                            int num_threads, bool merge_result,
-                           JoinPath join_path, JoinCounters* counters) {
+                           JoinCounters* counters) {
   std::shared_ptr<const IntervalIndex> index = table.BackwardIndex();
   return BackwardThetaJoin(query, table.view(), index.get(), num_threads,
-                           merge_result, join_path, /*stats=*/nullptr,
-                           counters);
+                           merge_result, counters);
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query,
                           const CompressedTableView& table, int num_threads,
-                          bool merge_result, JoinPath join_path,
-                          JoinCounters* counters) {
+                          bool merge_result, JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.in_ndim) << "forward query arity mismatch";
   // Implied absolute input-attribute-0 intervals drive the probe; they
   // depend on de-relativization, so the index is per call (its build cost
@@ -323,22 +262,20 @@ BoxTable ForwardThetaJoin(const BoxTable& query,
   IntervalIndex index(lo0.data(), hi0.data(), table.num_rows, 1);
   if (num_threads > 1) {
     return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
-                           [&table, &index, join_path,
-                            counters](const BoxTable& q) {
-                             return ForwardKernel(q, table, index, join_path,
-                                                  counters);
+                           [&table, &index, counters](const BoxTable& q) {
+                             return ForwardKernel(q, table, index, counters);
                            });
   }
-  BoxTable result = ForwardKernel(query, table, index, join_path, counters);
+  BoxTable result = ForwardKernel(query, table, index, counters);
   if (merge_result) result.Merge();
   return result;
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads, bool merge_result,
-                          JoinPath join_path, JoinCounters* counters) {
+                          JoinCounters* counters) {
   return ForwardThetaJoin(query, table.view(), num_threads, merge_result,
-                          join_path, counters);
+                          counters);
 }
 
 ForwardTable ForwardTable::FromBackward(const CompressedTableView& table) {
@@ -402,14 +339,13 @@ ForwardTable ForwardTable::FromBackward(const CompressedTableView& table) {
 }
 
 BoxTable ForwardTable::Join(const BoxTable& query, int num_threads,
-                            bool merge_result, JoinPath join_path,
-                            JoinCounters* counters) const {
+                            bool merge_result, JoinCounters* counters) const {
   DSLOG_CHECK(query.ndim() == in_ndim()) << "forward query arity mismatch";
   if (num_threads > 1 || merge_result) {
     return PartitionedJoin(
         query, out_ndim(), num_threads, merge_result,
-        [this, join_path, counters](const BoxTable& q) {
-          return Join(q, 1, false, join_path, counters);
+        [this, counters](const BoxTable& q) {
+          return Join(q, 1, false, counters);
         });
   }
   const int32_t l = static_cast<int32_t>(out_ndim());
@@ -417,17 +353,11 @@ BoxTable ForwardTable::Join(const BoxTable& query, int num_threads,
   BoxTable result(l);
   std::vector<Interval> ti(static_cast<size_t>(m));
   std::vector<Interval> out_box(static_cast<size_t>(l));
-  std::vector<int32_t> scratch;
-  const IntervalColumnStats& stats = in0_index_.stats();
   LocalJoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
-    const AccessPath path =
-        counters == nullptr
-            ? ResolveAccessPath(join_path, q[0], stats)
-            : ResolveAndRecord(join_path, q[0], stats, &local);
-    in0_index_.ForEachOverlapping(q[0], path, &scratch, [&](int64_t r) {
+    in0_index_.ForEachOverlapping(q[0], [&](int64_t r) {
       ++local.rows_scanned;
       const int64_t* row_in_lo = in_lo_.data() + r * m;
       const int64_t* row_in_hi = in_hi_.data() + r * m;
@@ -456,6 +386,7 @@ BoxTable ForwardTable::Join(const BoxTable& query, int num_threads,
       result.AddBox(out_box);
     });
   }
+  local.probes = query.num_boxes();
   local.rows_emitted = result.num_boxes();
   local.FlushTo(counters);
   return result;

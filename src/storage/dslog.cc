@@ -422,15 +422,6 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     hop.forward = forward;
     if (forward) hop.forward_table = edge.forward.get();
     hop.index = pinned.index;
-    // Planner stats from the segment's footer entry, for backward hops
-    // only (a forward hop probes a per-call derived column, not out-attr
-    // 0). Read id-addressed so the store never materializes its segment
-    // vector on the query path; segments stored without stats yield the
-    // default-invalid stats and the joins fall back to the hop index's
-    // exact stats.
-    if (!forward && edge.segment >= 0 && store != nullptr)
-      hop.stats =
-          store->segment_out0_stats(static_cast<size_t>(edge.segment));
     auto pin = std::make_shared<HopPin>();
     pin->table = std::move(edge.table);
     pin->forward = std::move(edge.forward);
@@ -556,7 +547,6 @@ struct EdgeSegmentBytes {
   std::string bytes;
   SegmentLayout layout = SegmentLayout::kProvRcGzip;
   int64_t row_count = -1;
-  IntervalColumnStats out0_stats;  // planner stats; invalid when unknown
 };
 
 EdgeSegmentBytes SerializedEdgeSegment(const LogStore* store, int32_t segment,
@@ -566,13 +556,13 @@ EdgeSegmentBytes SerializedEdgeSegment(const LogStore* store, int32_t segment,
     const LogStore::SegmentInfo seg =
         store->segment_info(static_cast<size_t>(segment));
     return {std::string(store->SegmentView(static_cast<size_t>(segment))),
-            seg.layout, seg.row_count, seg.out0_stats};
+            seg.layout, seg.row_count};
   }
   if (preferred == SegmentLayout::kColumnar)
     return {SerializeCompressedTableColumnar(*table), SegmentLayout::kColumnar,
-            table->num_rows(), ComputeOut0Stats(*table)};
+            table->num_rows()};
   return {SerializeCompressedTableGzip(*table), SegmentLayout::kProvRcGzip,
-          table->num_rows(), ComputeOut0Stats(*table)};
+          table->num_rows()};
 }
 
 /// True when `existing`, the append target's record for an edge, already
@@ -632,8 +622,7 @@ Status DSLog::SaveLogStore(const std::string& path,
                                                  edge.table.get(), layout);
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
-                                seg.bytes, seg.layout, seg.row_count,
-                                seg.out0_stats));
+                                seg.bytes, seg.layout, seg.row_count));
   }
   return writer.Finish();
 }
@@ -679,8 +668,7 @@ Status DSLog::AppendLogStore(const std::string& path,
                                                  edge.table.get(), layout);
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
-                                seg.bytes, seg.layout, seg.row_count,
-                                seg.out0_stats));
+                                seg.bytes, seg.layout, seg.row_count));
     ++written;
   }
   DSLOG_RETURN_IF_ERROR(writer.Finish());

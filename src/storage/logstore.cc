@@ -24,24 +24,20 @@ constexpr size_t kHeaderSize = sizeof(kHeaderMagic);
 // fixed64 footer_offset + fixed64 footer checksum + trailer magic.
 constexpr size_t kTrailerSize = 8 + 8 + sizeof(kTrailerMagic);
 
-// Fixed segment record: field offsets within one 88-byte record. All
+// Fixed segment record: field offsets within one 56-byte record. All
 // fields little-endian; the record block starts 8-aligned in the file and
-// 88 is a multiple of 8, so every field is naturally aligned under mmap
+// 56 is a multiple of 8, so every field is naturally aligned under mmap
 // (reads still go through memcpy for the heap-read fallback).
 constexpr size_t kRecOffset = 0;     // u64 absolute file offset
 constexpr size_t kRecLength = 8;     // u64 segment byte length
 constexpr size_t kRecChecksum = 16;  // u64 FNV-64 of the segment bytes
 constexpr size_t kRecNameOff = 24;   // u64 offset into the name heap
 constexpr size_t kRecRowCount = 32;  // i64 (-1 unknown)
-constexpr size_t kRecSumWidth = 40;  // i64 planner stats (-1 unknown)
-constexpr size_t kRecMinLo = 48;     // i64
-constexpr size_t kRecMaxLo = 56;     // i64
-constexpr size_t kRecMaxHi = 64;     // i64
-constexpr size_t kRecInLen = 72;     // u32 in_arr name length
-constexpr size_t kRecOutLen = 76;    // u32 out_arr name length
-constexpr size_t kRecOpLen = 80;     // u32 op_name length
-constexpr size_t kRecLayout = 84;    // u32 SegmentLayout
-constexpr size_t kRecSize = 88;
+constexpr size_t kRecInLen = 40;     // u32 in_arr name length
+constexpr size_t kRecOutLen = 44;    // u32 out_arr name length
+constexpr size_t kRecOpLen = 48;     // u32 op_name length
+constexpr size_t kRecLayout = 52;    // u32 SegmentLayout
+constexpr size_t kRecSize = 56;
 
 inline size_t Pad8(size_t v) { return (v + 7) & ~static_cast<size_t>(7); }
 
@@ -92,12 +88,6 @@ LogStore::SegmentInfo DecodeRecord(std::string_view records,
   seg.length = LoadU64(rec + kRecLength);
   seg.checksum = LoadU64(rec + kRecChecksum);
   seg.row_count = static_cast<int64_t>(LoadU64(rec + kRecRowCount));
-  IntervalColumnStats& st = seg.out0_stats;
-  st.sum_width = static_cast<int64_t>(LoadU64(rec + kRecSumWidth));
-  st.min_lo = static_cast<int64_t>(LoadU64(rec + kRecMinLo));
-  st.max_lo = static_cast<int64_t>(LoadU64(rec + kRecMaxLo));
-  st.max_hi = static_cast<int64_t>(LoadU64(rec + kRecMaxHi));
-  st.row_count = st.sum_width >= 0 ? seg.row_count : -1;
   seg.layout = static_cast<SegmentLayout>(LoadU32(rec + kRecLayout));
   const uint64_t name_off = LoadU64(rec + kRecNameOff);
   const uint64_t in_len = LoadU32(rec + kRecInLen);
@@ -226,10 +216,6 @@ std::string EncodeFooter(
     AppendU64(&records, seg.checksum);
     AppendU64(&records, name_off);
     AppendU64(&records, static_cast<uint64_t>(seg.row_count));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.sum_width));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.min_lo));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.max_lo));
-    AppendU64(&records, static_cast<uint64_t>(seg.out0_stats.max_hi));
     AppendU32(&records, static_cast<uint32_t>(seg.in_arr.size()));
     AppendU32(&records, static_cast<uint32_t>(seg.out_arr.size()));
     AppendU32(&records, static_cast<uint32_t>(seg.op_name.size()));
@@ -297,28 +283,6 @@ inline void BumpRelaxed(std::atomic<int64_t>& c, int64_t d = 1) {
 }
 
 }  // namespace
-
-IntervalColumnStats ComputeOut0Stats(const CompressedTable& table) {
-  const CompressedTableView v = table.view();
-  const int64_t n = v.num_rows;
-  const int64_t w = v.stride();
-  IntervalColumnStats st;
-  st.row_count = n;
-  st.sum_width = 0;
-  if (n == 0) return st;  // valid, empty column
-  st.min_lo = v.lo[0];
-  st.max_lo = v.lo[0];
-  st.max_hi = v.hi[0];
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t lo = v.lo[r * w];
-    const int64_t hi = v.hi[r * w];
-    st.min_lo = std::min(st.min_lo, lo);
-    st.max_lo = std::max(st.max_lo, lo);
-    st.max_hi = std::max(st.max_hi, hi);
-    st.sum_width += hi - lo + 1;
-  }
-  return st;
-}
 
 // ----------------------------------------------------------------- reader --
 
@@ -408,16 +372,6 @@ LogStore::SegmentInfo LogStore::segment_info(size_t id) const {
 
 int64_t LogStore::segment_length(size_t id) const {
   return RecI64(id, kRecLength);
-}
-
-IntervalColumnStats LogStore::segment_out0_stats(size_t id) const {
-  IntervalColumnStats st;
-  st.sum_width = RecI64(id, kRecSumWidth);
-  st.min_lo = RecI64(id, kRecMinLo);
-  st.max_lo = RecI64(id, kRecMaxLo);
-  st.max_hi = RecI64(id, kRecMaxHi);
-  st.row_count = st.sum_width >= 0 ? RecI64(id, kRecRowCount) : -1;
-  return st;
 }
 
 uint64_t LogStore::segment_checksum(size_t id) const {
@@ -710,7 +664,7 @@ Status LogStoreWriter::AppendEdge(const std::string& in_arr,
                           layout == SegmentLayout::kColumnar
                               ? SerializeCompressedTableColumnar(table)
                               : SerializeCompressedTableGzip(table),
-                          layout, table.num_rows(), ComputeOut0Stats(table));
+                          layout, table.num_rows());
 }
 
 Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
@@ -718,8 +672,7 @@ Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
                                         const std::string& op_name,
                                         std::string_view bytes,
                                         SegmentLayout layout,
-                                        int64_t row_count,
-                                        const IntervalColumnStats& out0_stats) {
+                                        int64_t row_count) {
   if (finished_) return Status::Internal("logstore writer already finished");
   // Columnar segments must start 8-aligned in the file so a mapped reader
   // can reinterpret the arenas in place; pad with dead bytes if the write
@@ -737,7 +690,6 @@ Status LogStoreWriter::AppendRawSegment(const std::string& in_arr,
   seg.checksum = Hash64(bytes);
   seg.layout = layout;
   seg.row_count = row_count;
-  seg.out0_stats = out0_stats;
   new_bytes_.append(bytes);
   auto [it, inserted] =
       edge_index_.try_emplace(EdgeStoreKey(in_arr, out_arr), segments_.size());

@@ -10,13 +10,13 @@
 //   |                  |    v2 = PRC2 columnar (8-aligned; the on-disk
 //   |                  |         bytes are the kernels' scan format)
 //   +------------------+ footer_offset (8-aligned)
-//   | footer           |  format version 4: a varint prelude (version,
+//   | footer           |  format version 5: a varint prelude (version,
 //   |                  |  array catalog, predictor blob), zero-padding to
 //   |                  |  8, then a flat index read in place with zero
 //   |                  |  deserialization —
 //   |                  |    u64 num_segments | u64 name_heap_size
 //   |                  |    | u64 phf_size
-//   |                  |    | fixed 88-byte segment records x num_segments
+//   |                  |    | fixed 56-byte segment records x num_segments
 //   |                  |    | name heap | pad to 8 | PHF block (common/phf)
 //   |                  |  Records sit in perfect-hash position order: the
 //   |                  |  PHF position of an edge key IS its segment id, so
@@ -27,7 +27,7 @@
 //   |                  |  | magic "DSLF"
 //   +------------------+ file_size
 //
-// Version 4 is the only format: any other footer version is Corruption,
+// Version 5 is the only format: any other footer version is Corruption,
 // and so is a store with segments but an empty PHF block.
 //
 // A reader maps the file once (mmap, with a whole-file read fallback) and
@@ -110,11 +110,6 @@ inline uint64_t EdgeKeyHash(std::string_view in_arr,
   return Hash64(out_arr, h);
 }
 
-/// Exact output-attribute-0 interval-column stats of a table — one strided
-/// pass. Writers stamp these into the footer so readers can plan θ-joins
-/// against a segment without resolving it.
-IntervalColumnStats ComputeOut0Stats(const CompressedTable& table);
-
 /// On-disk encoding of one segment's table bytes.
 enum class SegmentLayout : uint32_t {
   /// ProvRC-GZip (the paper's storage default): smallest bytes, decoded
@@ -187,12 +182,6 @@ class LogStore {
     uint64_t checksum = 0;  // FNV-64 over the segment bytes
     SegmentLayout layout = SegmentLayout::kProvRcGzip;
     int64_t row_count = -1;  // -1 = unknown
-    /// Output-attribute-0 interval-column stats: the join planner's
-    /// cost-model inputs, readable without touching the segment bytes.
-    /// Invalid (default) on raw-appended segments whose writer supplied no
-    /// stats — the planner then falls back to the resolved index's exact
-    /// stats.
-    IntervalColumnStats out0_stats;
   };
 
   /// A resolved segment: the scan view, its backward-join index, and a pin
@@ -214,7 +203,7 @@ class LogStore {
   }
 
   /// The only footer version Open accepts (and Finish writes).
-  static constexpr uint32_t kFormatVersion = 4;
+  static constexpr uint32_t kFormatVersion = 5;
 
   /// Number of indexed segments.
   size_t segment_count() const { return num_segments_; }
@@ -226,9 +215,6 @@ class LogStore {
 
   /// On-disk byte length of segment `id` without materializing names.
   int64_t segment_length(size_t id) const;
-
-  /// Join-planner stats of segment `id` without materializing names.
-  IntervalColumnStats segment_out0_stats(size_t id) const;
 
   /// Checksum and layout of segment `id` without materializing names.
   /// With segment_length they identify the segment's bytes, so an appender
@@ -423,15 +409,13 @@ class LogStoreWriter {
 
   /// Same, but with pre-serialized segment bytes in `layout` (e.g. another
   /// store's SegmentView) — no decode/re-encode.
-  /// `row_count` and `out0_stats` are carried into the footer (-1 = unknown
-  /// count; default-invalid stats when the source carried none).
+  /// `row_count` is carried into the footer (-1 = unknown).
   Status AppendRawSegment(const std::string& in_arr,
                           const std::string& out_arr,
                           const std::string& op_name,
                           std::string_view bytes,
                           SegmentLayout layout = SegmentLayout::kProvRcGzip,
-                          int64_t row_count = -1,
-                          const IntervalColumnStats& out0_stats = {});
+                          int64_t row_count = -1);
 
   /// Attaches the serialized reuse-predictor state ("" to clear).
   void SetPredictorState(std::string blob);

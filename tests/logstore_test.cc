@@ -743,12 +743,14 @@ TEST(LogStoreCorruptionTest, TruncationsAndGarbageAreCorruption) {
         static_cast<uint8_t>(bad[bad.size() - 30]) ^ 0xFF);
     expect_corruption(std::move(bad), "footer byte flip");
   }
-  // A footer of any version but 4, even with a valid checksum.
-  {
-    std::string v3 = footer;
-    ASSERT_EQ(v3[0], 4);
-    v3[0] = 3;
-    expect_corruption(with_footer(v3), "footer version 3");
+  // A footer of any version but 5, even with a valid checksum: version 4
+  // (per-record planner stats, 88-byte records) is as unsupported as 3.
+  ASSERT_EQ(footer[0], 5);
+  for (int version : {3, 4}) {
+    std::string old_version = footer;
+    old_version[0] = static_cast<char>(version);
+    expect_corruption(with_footer(old_version),
+                      version == 3 ? "footer version 3" : "footer version 4");
   }
   // Segments but no PHF block: walk the varint prelude (version, arrays,
   // predictor blob) to the 8-aligned index header, zero its phf_size and
@@ -789,7 +791,7 @@ TEST(LogStoreCorruptionTest, OverflowingFooterVarintIsCorruption) {
   // store from a corrupt footer; the decoder must reject the overflow as
   // Corruption instead.
   std::string footer;
-  PutVarint64(&footer, 4);     // format version
+  PutVarint64(&footer, 5);     // format version
   footer.append(9, '\x80');    // continuation bytes up to shift 63
   footer.push_back('\x02');    // 10th byte: bit 64 set -> overflow -> "0"
   PutVarint64(&footer, 0);     // predictor-state length
@@ -810,32 +812,28 @@ TEST(LogStoreCorruptionTest, OverflowingFooterVarintIsCorruption) {
 }
 
 TEST(LogStoreTest, V3FooterCarriesSegmentStats) {
-  // Each footer segment record carries the segment's planner stats.
+  // Each footer segment record carries the stored table's row count and
+  // the layout it was written in, readable without touching the segment.
   DSLog log;
   BuildChain(&log, 0, 2, 32);
-  const std::string path = TestPath("segment_stats.dsl");
-  ASSERT_TRUE(log.SaveLogStore(path).ok());
-  auto store = LogStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_EQ(store.value()->segments().size(), 2u);
-  for (size_t id = 0; id < store.value()->segments().size(); ++id) {
-    const LogStore::SegmentInfo& seg = store.value()->segments()[id];
-    // Identity lineage over 32 cells compresses to one relative interval
-    // row covering out attr 0 = [0, 31]. The footer stats must match the
-    // resolved index's exact stats without touching the segment bytes.
-    ASSERT_TRUE(seg.out0_stats.valid());
-    EXPECT_EQ(seg.out0_stats.row_count, 1);
-    EXPECT_EQ(seg.out0_stats.min_lo, 0);
-    EXPECT_EQ(seg.out0_stats.max_hi, 31);
-    EXPECT_EQ(seg.out0_stats.sum_width, 32);
-    auto pinned = store.value()->View(id);
-    ASSERT_TRUE(pinned.ok());
-    const IntervalColumnStats& exact = pinned.value().index->stats();
-    EXPECT_EQ(seg.out0_stats.row_count, exact.row_count);
-    EXPECT_EQ(seg.out0_stats.min_lo, exact.min_lo);
-    EXPECT_EQ(seg.out0_stats.max_lo, exact.max_lo);
-    EXPECT_EQ(seg.out0_stats.max_hi, exact.max_hi);
-    EXPECT_EQ(seg.out0_stats.sum_width, exact.sum_width);
+  for (SegmentLayout layout :
+       {SegmentLayout::kColumnar, SegmentLayout::kProvRcGzip}) {
+    const std::string path = TestPath("segment_stats.dsl");
+    ASSERT_TRUE(log.SaveLogStore(path, layout).ok());
+    auto store = LogStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_EQ(store.value()->segments().size(), 2u);
+    for (size_t id = 0; id < store.value()->segments().size(); ++id) {
+      const LogStore::SegmentInfo& seg = store.value()->segments()[id];
+      const CompressedTable* stored = log.FindEdge(seg.in_arr, seg.out_arr);
+      ASSERT_NE(stored, nullptr) << seg.in_arr << " -> " << seg.out_arr;
+      EXPECT_EQ(seg.row_count, stored->num_rows());
+      EXPECT_EQ(seg.layout, layout);
+      EXPECT_EQ(store.value()->segment_layout(id), layout);
+      auto pinned = store.value()->View(id);
+      ASSERT_TRUE(pinned.ok());
+      EXPECT_EQ(pinned.value().view.num_rows, seg.row_count);
+    }
   }
 }
 
@@ -873,7 +871,6 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
   const std::string path = TestPath("phf_bits_per_key.dsl");
   CompressedTable table = ProvRcCompress(IdentityRelation(4));
   const std::string bytes = SerializeCompressedTableColumnar(table);
-  const IntervalColumnStats stats = ComputeOut0Stats(table);
   auto writer = LogStoreWriter::Create(path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   constexpr int kEdges = 2048;
@@ -884,7 +881,7 @@ TEST(LogStoreV4Test, IndexStaysUnder16BitsPerKeyAtScale) {
     ASSERT_TRUE(writer.value()
                     .AppendRawSegment("hub", "leaf" + std::to_string(i), "op",
                                       bytes, SegmentLayout::kColumnar,
-                                      table.num_rows(), stats)
+                                      table.num_rows())
                     .ok());
   }
   ASSERT_TRUE(writer.value().Finish().ok());
