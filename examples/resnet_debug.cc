@@ -1,38 +1,16 @@
 // Model-debugging scenario (the Fig 8C workflow): trace activations through
-// the seven steps of a ResNet block. Demonstrates the materialized forward
-// representation (DSLogOptions::materialize_forward, paper §IV.C): when a
-// catalog mostly serves forward queries, DSLog stores the inverse table
-// with absolute input attributes next to the backward one.
+// the seven steps of a ResNet block, forward (which activations did this
+// pixel touch?) and backward (which pixels can influence this activation?).
+// One catalog stores only the backward tables; forward hops de-relativize
+// them on the fly (paper §IV.C), so both directions share one copy.
 
 #include <cstdio>
 
 #include "common/strings.h"
-#include "common/timer.h"
 #include "storage/dslog.h"
 #include "workloads/workflows.h"
 
 using namespace dslog;
-
-namespace {
-
-DSLog BuildCatalog(const Workflow& wf, bool materialize_forward) {
-  DSLogOptions options;
-  options.materialize_forward = materialize_forward;
-  DSLog log(options);
-  for (size_t i = 0; i < wf.array_names.size(); ++i)
-    DSLOG_CHECK(log.DefineArray(wf.array_names[i], wf.shapes[i]).ok());
-  for (size_t i = 0; i < wf.steps.size(); ++i) {
-    OperationRegistration reg;
-    reg.op_name = wf.steps[i].op_name;
-    reg.in_arrs = {wf.array_names[i]};
-    reg.out_arr = wf.array_names[i + 1];
-    reg.captured = {wf.steps[i].relation};
-    DSLOG_CHECK(log.RegisterOperation(std::move(reg)).ok());
-  }
-  return log;
-}
-
-}  // namespace
 
 int main() {
   auto wfr = BuildResNetWorkflow(64, 64, /*seed=*/21);
@@ -43,40 +21,41 @@ int main() {
                 wf.steps[i].op_name.c_str(),
                 static_cast<long long>(wf.steps[i].relation.num_rows()));
 
-  DSLog backward_only = BuildCatalog(wf, /*materialize_forward=*/false);
-  DSLog both = BuildCatalog(wf, /*materialize_forward=*/true);
-  std::printf("\nstored lineage (backward rep only): %s\n",
-              HumanBytes(backward_only.StorageFootprintBytes()).c_str());
+  DSLog log;
+  for (size_t i = 0; i < wf.array_names.size(); ++i)
+    DSLOG_CHECK(log.DefineArray(wf.array_names[i], wf.shapes[i]).ok());
+  for (size_t i = 0; i < wf.steps.size(); ++i) {
+    OperationRegistration reg;
+    reg.op_name = wf.steps[i].op_name;
+    reg.in_arrs = {wf.array_names[i]};
+    reg.out_arr = wf.array_names[i + 1];
+    reg.captured = {wf.steps[i].relation};
+    DSLOG_CHECK(log.RegisterOperation(std::move(reg)).ok());
+  }
+  std::printf("\nstored lineage: %s\n",
+              HumanBytes(log.StorageFootprintBytes()).c_str());
 
   // Forward query: receptive-field expansion of one input pixel through
-  // both 3x3 convolutions (the "which activations did this pixel touch"
-  // debugging question).
+  // both 3x3 convolutions.
   std::vector<std::string> fwd_path(wf.array_names.begin(),
                                     wf.array_names.end());
-  BoxTable q = BoxTable::FromCells(2, {32, 32});
+  BoxTable touched =
+      log.ProvQuery(fwd_path, BoxTable::FromCells(2, {32, 32})).ValueOrDie();
+  std::printf("\nforward query pixel (32,32) -> final activations: %lld "
+              "cells\n",
+              static_cast<long long>(touched.NumDistinctCells()));
+  DSLOG_CHECK(touched.NumDistinctCells() == 25)
+      << "forward receptive field should be 5x5";
 
-  WallTimer t1;
-  BoxTable r1 = backward_only.ProvQuery(fwd_path, q).ValueOrDie();
-  double direct_s = t1.ElapsedSeconds();
-  WallTimer t2;
-  BoxTable r2 = both.ProvQuery(fwd_path, q).ValueOrDie();
-  double materialized_s = t2.ElapsedSeconds();
-
-  std::printf("\nforward query pixel (32,32) -> final activations:\n");
-  std::printf("  receptive field: %lld cells (expected 5x5 = 25)\n",
-              static_cast<long long>(r1.NumDistinctCells()));
-  std::printf("  direct join on backward rep: %.6f s\n", direct_s);
-  std::printf("  materialized forward rep:    %.6f s\n", materialized_s);
-  DSLOG_CHECK(r1.NumDistinctCells() == r2.NumDistinctCells())
-      << "representations disagree";
-
-  // Backward query: which input pixels can influence a border activation?
+  // Backward query: which input pixels can influence a corner activation?
   std::vector<std::string> bwd_path(wf.array_names.rbegin(),
                                     wf.array_names.rend());
-  BoxTable qb = BoxTable::FromCells(2, {0, 0});
-  BoxTable sources = both.ProvQuery(bwd_path, qb).ValueOrDie();
-  std::printf("\nbackward query activation (0,0) -> input pixels:\n");
-  std::printf("  %lld source cells (corner receptive field: 3x3 = 9)\n",
+  BoxTable sources =
+      log.ProvQuery(bwd_path, BoxTable::FromCells(2, {0, 0})).ValueOrDie();
+  std::printf("backward query activation (0,0) -> input pixels: %lld "
+              "cells\n",
               static_cast<long long>(sources.NumDistinctCells()));
+  DSLOG_CHECK(sources.NumDistinctCells() == 9)
+      << "corner receptive field should be 3x3";
   return 0;
 }

@@ -18,16 +18,12 @@ namespace dslog {
 
 namespace {
 
-/// One hop's θ-join, dispatched by direction/representation. `counters`
-/// rides through to the kernels (nullptr = unprofiled).
+/// One hop's θ-join, dispatched by direction. `counters` rides through to
+/// the kernels (nullptr = unprofiled).
 BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
                 bool merge, JoinCounters* counters) {
-  if (hop.forward) {
-    return hop.forward_table != nullptr
-               ? hop.forward_table->Join(current, num_threads, merge, counters)
-               : ForwardThetaJoin(current, hop.table, num_threads, merge,
-                                  counters);
-  }
+  if (hop.forward)
+    return ForwardThetaJoin(current, hop.table, num_threads, merge, counters);
   return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
                            counters);
 }
@@ -91,7 +87,6 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
     const QueryHop& hop = hops[h];
     HopProfile& hp = profile->hops[h];
     hp.forward = hop.forward;
-    hp.used_forward_table = hop.forward && hop.forward_table != nullptr;
     hp.table_rows = hop.table.num_rows;
     trace::Span hop_span(hop.forward ? "hop.forward" : "hop.backward",
                          "query");
@@ -165,8 +160,6 @@ std::string QueryProfile::ToJson() const {
            ", \"out_arr\": " + ProfileJsonEscape(hp.out_arr) +
            ", \"op_name\": " + ProfileJsonEscape(hp.op_name) +
            ", \"forward\": " + (hp.forward ? "true" : "false") +
-           ", \"used_forward_table\": " +
-           (hp.used_forward_table ? "true" : "false") +
            ", \"from_store\": " + (hp.from_store ? "true" : "false") +
            ", \"cache_hit\": " + (hp.cache_hit ? "true" : "false") +
            ", \"borrowed\": " + (hp.borrowed ? "true" : "false") +
@@ -201,11 +194,10 @@ std::string QueryProfile::ToText() const {
                            ? std::string("<anonymous>")
                            : hp.in_arr + " -> " + hp.out_arr;
     std::snprintf(buf, sizeof(buf),
-                  "  hop %zu [%s%s] %s: rows=%" PRId64 " probes=%" PRId64
+                  "  hop %zu [%s] %s: rows=%" PRId64 " probes=%" PRId64
                   " scanned=%" PRId64 " emitted=%" PRId64 " -> %" PRId64
                   " boxes, %.3f ms\n",
-                  h, hp.forward ? "fwd" : "bwd",
-                  hp.used_forward_table ? "+table" : "", edge.c_str(),
+                  h, hp.forward ? "fwd" : "bwd", edge.c_str(),
                   hp.table_rows, hp.probes, hp.rows_scanned, hp.rows_emitted,
                   hp.result_boxes, hp.wall_ms);
     out += buf;

@@ -19,23 +19,18 @@
 
 namespace dslog {
 
-class ForwardTable;
-
 /// One step in a query path: a columnar view of the hop's stored table
 /// (owned arenas or bytes borrowed from an mmap'd LogStore segment) plus
 /// the traversal direction. `forward` means the traversal goes from the
-/// stored relation's input array to its output array. When a materialized
-/// forward representation (§IV.C) is available it can be supplied in
-/// `forward_table` and is used for forward hops instead of the direct join
-/// over the backward representation.
+/// stored relation's input array to its output array; forward hops run the
+/// direct join over the backward representation (ForwardThetaJoin).
 struct QueryHop {
   QueryHop() = default;
   /// Hop over an owned table: captures its view and shares its cached
   /// backward index. The table itself must outlive the hop (as before);
   /// the pin keeps only the index alive.
-  QueryHop(const CompressedTable* table, bool forward,
-           const ForwardTable* forward_table = nullptr)
-      : table(table->view()), forward(forward), forward_table(forward_table) {
+  QueryHop(const CompressedTable* table, bool forward)
+      : table(table->view()), forward(forward) {
     auto idx = table->BackwardIndex();
     index = idx.get();
     pin = std::move(idx);
@@ -43,7 +38,6 @@ struct QueryHop {
 
   CompressedTableView table;
   bool forward = false;
-  const ForwardTable* forward_table = nullptr;
   /// Sorted interval index over the table's output attribute 0 (backward
   /// hops probe it instead of scanning). nullptr = build ephemerally.
   const IntervalIndex* index = nullptr;
@@ -62,8 +56,6 @@ struct HopProfile {
   std::string out_arr;
   std::string op_name;
   bool forward = false;
-  /// Forward hop served by the materialized §IV.C representation.
-  bool used_forward_table = false;
 
   // --- segment resolution (LogStore-backed hops only) ---
   bool from_store = false;  // hop resolved through a LogStore segment

@@ -278,118 +278,4 @@ BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           counters);
 }
 
-ForwardTable ForwardTable::FromBackward(const CompressedTableView& table) {
-  ForwardTable fwd;
-  fwd.out_shape_.assign(table.out_shape, table.out_shape + table.out_ndim);
-  fwd.in_shape_.assign(table.in_shape, table.in_shape + table.in_ndim);
-  const int32_t l = table.out_ndim;
-  const int32_t m = table.in_ndim;
-  const int64_t n = table.num_rows;
-  const int64_t w = table.stride();
-  fwd.num_rows_ = n;
-  fwd.in_lo_.resize(static_cast<size_t>(n * m));
-  fwd.in_hi_.resize(static_cast<size_t>(n * m));
-  fwd.out_lo_.resize(static_cast<size_t>(n * l));
-  fwd.out_hi_.resize(static_cast<size_t>(n * l));
-  fwd.ref_start_.assign(static_cast<size_t>(n * l) + 1, 0);
-
-  // Pass 1: columns and per-(row, output attr) constraint counts.
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t* refs = table.ref + r * m;
-    for (int32_t j = 0; j < l; ++j) {
-      fwd.out_lo_[static_cast<size_t>(r * l + j)] = row_lo[j];
-      fwd.out_hi_[static_cast<size_t>(r * l + j)] = row_hi[j];
-    }
-    for (int32_t i = 0; i < m; ++i) {
-      const int32_t rf = refs[i];
-      const int64_t base_lo = rf >= 0 ? row_lo[rf] : 0;
-      const int64_t base_hi = rf >= 0 ? row_hi[rf] : 0;
-      fwd.in_lo_[static_cast<size_t>(r * m + i)] = base_lo + row_lo[l + i];
-      fwd.in_hi_[static_cast<size_t>(r * m + i)] = base_hi + row_hi[l + i];
-      if (rf >= 0) ++fwd.ref_start_[static_cast<size_t>(r * l + rf) + 1];
-    }
-  }
-  // Prefix-sum the counts into CSR offsets, then pass 2 fills the slots.
-  for (size_t c = 1; c < fwd.ref_start_.size(); ++c)
-    fwd.ref_start_[c] += fwd.ref_start_[c - 1];
-  const int32_t total = fwd.ref_start_.back();
-  fwd.ref_in_.resize(static_cast<size_t>(total));
-  fwd.ref_dlo_.resize(static_cast<size_t>(total));
-  fwd.ref_dhi_.resize(static_cast<size_t>(total));
-  std::vector<int32_t> cursor(fwd.ref_start_.begin(), fwd.ref_start_.end() - 1);
-  for (int64_t r = 0; r < n; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t* refs = table.ref + r * m;
-    for (int32_t i = 0; i < m; ++i) {
-      const int32_t rf = refs[i];
-      if (rf < 0) continue;
-      int32_t& slot = cursor[static_cast<size_t>(r * l + rf)];
-      fwd.ref_in_[static_cast<size_t>(slot)] = i;
-      fwd.ref_dlo_[static_cast<size_t>(slot)] = row_lo[l + i];
-      fwd.ref_dhi_[static_cast<size_t>(slot)] = row_hi[l + i];
-      ++slot;
-    }
-  }
-  fwd.in0_index_ = IntervalIndex(fwd.in_lo_.data(), fwd.in_hi_.data(), n,
-                                 static_cast<int64_t>(m));
-  return fwd;
-}
-
-BoxTable ForwardTable::Join(const BoxTable& query, int num_threads,
-                            bool merge_result, JoinCounters* counters) const {
-  DSLOG_CHECK(query.ndim() == in_ndim()) << "forward query arity mismatch";
-  if (num_threads > 1 || merge_result) {
-    return PartitionedJoin(
-        query, out_ndim(), num_threads, merge_result,
-        [this, counters](const BoxTable& q) {
-          return Join(q, 1, false, counters);
-        });
-  }
-  const int32_t l = static_cast<int32_t>(out_ndim());
-  const int32_t m = static_cast<int32_t>(in_ndim());
-  BoxTable result(l);
-  std::vector<Interval> ti(static_cast<size_t>(m));
-  std::vector<Interval> out_box(static_cast<size_t>(l));
-  LocalJoinCounters local;
-
-  for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
-    const auto q = query.Box(qb);
-    in0_index_.ForEachOverlapping(q[0], [&](int64_t r) {
-      ++local.rows_scanned;
-      const int64_t* row_in_lo = in_lo_.data() + r * m;
-      const int64_t* row_in_hi = in_hi_.data() + r * m;
-      bool hit = true;
-      for (int32_t i = 0; i < m; ++i) {
-        const int64_t lo = std::max(q[static_cast<size_t>(i)].lo, row_in_lo[i]);
-        const int64_t hi = std::min(q[static_cast<size_t>(i)].hi, row_in_hi[i]);
-        ti[static_cast<size_t>(i)] = {lo, hi};
-        hit &= lo <= hi;
-      }
-      if (!hit) return;
-      bool feasible = true;
-      for (int32_t j = 0; j < l && feasible; ++j) {
-        const size_t c = static_cast<size_t>(r * l + j);
-        Interval v = {out_lo_[c], out_hi_[c]};
-        for (int32_t s = ref_start_[c]; s < ref_start_[c + 1]; ++s) {
-          const Interval& t_i = ti[static_cast<size_t>(ref_in_[static_cast<size_t>(s)])];
-          v.lo = std::max(v.lo, t_i.lo - ref_dhi_[static_cast<size_t>(s)]);
-          v.hi = std::min(v.hi, t_i.hi - ref_dlo_[static_cast<size_t>(s)]);
-          if (v.lo > v.hi) break;
-        }
-        feasible = v.lo <= v.hi;
-        out_box[static_cast<size_t>(j)] = v;
-      }
-      if (!feasible) return;
-      result.AddBox(out_box);
-    });
-  }
-  local.probes = query.num_boxes();
-  local.rows_emitted = result.num_boxes();
-  local.FlushTo(counters);
-  return result;
-}
-
 }  // namespace dslog

@@ -12,12 +12,12 @@
 //
 // Backward joins take a query over the table's *output* attributes (which
 // are absolute) and return the linked input cells via rel_back.
-// Forward joins take a query over *input* attributes; they run either
-// directly against the backward representation or against a materialized
-// ForwardTable (the §IV.C alternative representation), using the clamped
-// rel_for de-relativization. (The published rel_for formula is garbled; see
-// docs/ARCHITECTURE.md for the derivation used here, which property tests
-// validate against the uncompressed ground truth.)
+// Forward joins take a query over *input* attributes and run directly
+// against the backward representation, de-relativizing each row on the fly
+// with the clamped rel_for (the §IV.C forward table is never stored). (The
+// published rel_for formula is garbled; see docs/ARCHITECTURE.md for the
+// derivation used here, which property tests validate against the
+// uncompressed ground truth.)
 
 #ifndef DSLOG_QUERY_THETA_JOIN_H_
 #define DSLOG_QUERY_THETA_JOIN_H_
@@ -89,55 +89,6 @@ BoxTable ForwardThetaJoin(const BoxTable& query,
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads = 1, bool merge_result = false,
                           JoinCounters* counters = nullptr);
-
-/// Materialized forward representation (inputs absolute, outputs possibly
-/// relative with clamping bounds) as described in §IV.C / Table III.
-/// Stored as flat columns: absolute input intervals and output bounds in
-/// lo/hi arenas, relative constraints in a CSR side table keyed by
-/// (row, output attribute), plus a prebuilt interval index over input
-/// attribute 0 so every forward hop probes instead of scanning.
-class ForwardTable {
- public:
-  static ForwardTable FromBackward(const CompressedTable& table) {
-    return FromBackward(table.view());
-  }
-  static ForwardTable FromBackward(const CompressedTableView& table);
-
-  int in_ndim() const { return static_cast<int>(in_shape_.size()); }
-  int out_ndim() const { return static_cast<int>(out_shape_.size()); }
-  int64_t num_rows() const { return num_rows_; }
-
-  /// Absolute input interval of (row, input attribute).
-  Interval in_iv(int64_t r, int32_t i) const {
-    const size_t at = static_cast<size_t>(r * in_ndim() + i);
-    return {in_lo_[at], in_hi_[at]};
-  }
-  /// Clamping bound of (row, output attribute).
-  Interval out_bound(int64_t r, int32_t j) const {
-    const size_t at = static_cast<size_t>(r * out_ndim() + j);
-    return {out_lo_[at], out_hi_[at]};
-  }
-
-  /// Forward θ-join over the materialized representation.
-  BoxTable Join(const BoxTable& query, int num_threads = 1,
-                bool merge_result = false,
-                JoinCounters* counters = nullptr) const;
-
- private:
-  std::vector<int64_t> out_shape_;
-  std::vector<int64_t> in_shape_;
-  int64_t num_rows_ = 0;
-  std::vector<int64_t> in_lo_, in_hi_;    // num_rows * in_ndim, absolute
-  std::vector<int64_t> out_lo_, out_hi_;  // num_rows * out_ndim, bounds
-  /// CSR over (row, output attribute): constraints [ref_start_[c],
-  /// ref_start_[c + 1]) with c = r * out_ndim + j. Each constraint is the
-  /// (input attribute, delta interval) of one relative input cell that
-  /// references output attribute j.
-  std::vector<int32_t> ref_start_;
-  std::vector<int32_t> ref_in_;
-  std::vector<int64_t> ref_dlo_, ref_dhi_;
-  IntervalIndex in0_index_;  // over the absolute input attribute 0
-};
 
 }  // namespace dslog
 

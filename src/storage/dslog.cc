@@ -20,9 +20,41 @@ namespace {
 /// pin. The store itself stays alive through ProvQuery's own reference.
 struct HopPin {
   std::shared_ptr<const CompressedTable> table;
-  std::shared_ptr<const ForwardTable> forward;
   std::shared_ptr<const void> store_pin;
 };
+
+/// ProvRcCompress aborts on a relation it cannot encode: an arity outside
+/// [1, 31] on the output side, below 1 on the input side, or shapes never
+/// set. Ingest checks this first so such lineage is a typed error.
+Status CheckCompressible(const OperationRegistration& reg) {
+  for (const LineageRelation& rel : reg.captured) {
+    if (rel.out_ndim() < 1 || rel.out_ndim() > 31 || rel.in_ndim() < 1 ||
+        rel.out_shape().size() != static_cast<size_t>(rel.out_ndim()) ||
+        rel.in_shape().size() != static_cast<size_t>(rel.in_ndim()))
+      return Status::InvalidArgument(
+          reg.op_name + ": captured lineage needs 1-31 output and at least "
+                        "1 input dimensions, with shapes set");
+  }
+  return Status::OK();
+}
+
+/// Rejects lineage whose arity disagrees with the declared ranks of its
+/// edge's arrays: every later join over the edge would otherwise fail the
+/// θ-join kernels' arity check.
+Status CheckEdgeArity(const std::string& op_name, const std::string& in_arr,
+                      const std::string& out_arr, int out_ndim, int in_ndim,
+                      const std::vector<int64_t>& out_shape,
+                      const std::vector<int64_t>& in_shape) {
+  if (static_cast<size_t>(out_ndim) == out_shape.size() &&
+      static_cast<size_t>(in_ndim) == in_shape.size())
+    return Status::OK();
+  return Status::InvalidArgument(
+      op_name + ": lineage " + in_arr + " -> " + out_arr + " relates " +
+      std::to_string(out_ndim) + "-d output cells to " +
+      std::to_string(in_ndim) + "-d input cells, but the arrays are " +
+      std::to_string(out_shape.size()) + "-d and " +
+      std::to_string(in_shape.size()) + "-d");
+}
 
 }  // namespace
 
@@ -120,33 +152,36 @@ void DSLog::CommitEdges(std::vector<Edge> edges) {
 Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
   if (!reg.captured.empty() && reg.captured.size() != reg.in_arrs.size())
     return Status::InvalidArgument("one captured relation per input required");
-  // Fast-fail on unknown arrays before paying for compression. The shapes
-  // are read again under the writer lock below.
+  DSLOG_RETURN_IF_ERROR(CheckCompressible(reg));
+  // Fast-fail on unknown arrays and on captured lineage of the wrong arity
+  // before paying for compression (a defined array's shape never changes).
+  // The shapes are read again under the writer lock below.
   {
     std::shared_lock lock(catalog_mu_);
-    if (arrays_.count(reg.out_arr) == 0)
+    auto out_it = arrays_.find(reg.out_arr);
+    if (out_it == arrays_.end())
       return Status::NotFound("output array not defined: " + reg.out_arr);
-    for (const auto& in : reg.in_arrs)
-      if (arrays_.count(in) == 0)
-        return Status::NotFound("input array not defined: " + in);
+    for (size_t i = 0; i < reg.in_arrs.size(); ++i) {
+      auto in_it = arrays_.find(reg.in_arrs[i]);
+      if (in_it == arrays_.end())
+        return Status::NotFound("input array not defined: " + reg.in_arrs[i]);
+      if (reg.captured.empty()) continue;
+      DSLOG_RETURN_IF_ERROR(CheckEdgeArity(
+          reg.op_name, reg.in_arrs[i], reg.out_arr,
+          reg.captured[i].out_ndim(), reg.captured[i].in_ndim(),
+          out_it->second, in_it->second));
+    }
   }
 
-  // Compress the captured lineage — and materialize its forward
-  // representation when configured — before taking any lock: these are the
-  // expensive parts of ingest and touch no shared state, so concurrent
+  // Compress the captured lineage before taking any lock: it is the
+  // expensive part of ingest and touches no shared state, so concurrent
   // readers are only blocked for the catalog update.
   std::vector<CompressedTable> captured_tables;
-  std::vector<std::shared_ptr<const ForwardTable>> captured_forward;
   captured_tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured) {
+  for (const LineageRelation& rel : reg.captured)
     captured_tables.push_back(ProvRcCompress(rel));
-    if (options_.materialize_forward)
-      captured_forward.push_back(std::make_shared<const ForwardTable>(
-          ForwardTable::FromBackward(captured_tables.back())));
-  }
 
   std::vector<CompressedTable> tables;
-  std::vector<std::shared_ptr<const ForwardTable>> forward = captured_forward;
   ReuseOutcome outcome;
   {
     std::unique_lock lock(catalog_mu_);
@@ -177,12 +212,6 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
       if (tables.empty())
         return Status::NotFound("no promoted reuse mapping for " + reg.op_name);
       outcome.dim_hit = true;  // served from the reuse index
-      if (options_.materialize_forward) {
-        forward.clear();
-        for (const CompressedTable& table : tables)
-          forward.push_back(std::make_shared<const ForwardTable>(
-              ForwardTable::FromBackward(table)));
-      }
     }
   }  // catalog lock released: edge commit takes only the target shard.
 
@@ -197,7 +226,6 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
     edge.op_name = reg.op_name;
     edge.table =
         std::make_shared<const CompressedTable>(std::move(tables[i]));
-    if (options_.materialize_forward) edge.forward = std::move(forward[i]);
     edges.push_back(std::move(edge));
   }
   CommitEdges(std::move(edges));
@@ -214,14 +242,11 @@ Status StagedIngest::Add(OperationRegistration reg) {
         reg.op_name);
   if (reg.captured.size() != reg.in_arrs.size())
     return Status::InvalidArgument("one captured relation per input required");
+  DSLOG_RETURN_IF_ERROR(CheckCompressible(reg));
   StagedOp op;
   op.tables.reserve(reg.captured.size());
-  for (const LineageRelation& rel : reg.captured) {
+  for (const LineageRelation& rel : reg.captured)
     op.tables.push_back(ProvRcCompress(rel));
-    if (log_->options_.materialize_forward)
-      op.forward.push_back(std::make_shared<const ForwardTable>(
-          ForwardTable::FromBackward(op.tables.back())));
-  }
   reg.captured.clear();
   op.reg = std::move(reg);
   ops_.push_back(std::move(op));
@@ -241,16 +266,24 @@ Result<std::vector<ReuseOutcome>> StagedIngest::Drain() {
   std::vector<ReuseOutcome> outcomes(ops_.size());
   {
     // One catalog-lock round trip for the whole batch: validate every
-    // array, then run reuse bookkeeping for the ops that asked for it.
-    // Validation completes before the first predictor mutation so an error
-    // drain leaves the catalog untouched.
+    // array and every edge's arity, then run reuse bookkeeping for the ops
+    // that asked for it. Validation completes before the first predictor
+    // mutation so an error drain leaves the catalog untouched.
     std::unique_lock lock(log_->catalog_mu_);
     for (const StagedOp& op : ops_) {
-      if (log_->arrays_.count(op.reg.out_arr) == 0)
+      auto out_it = log_->arrays_.find(op.reg.out_arr);
+      if (out_it == log_->arrays_.end())
         return Status::NotFound("output array not defined: " + op.reg.out_arr);
-      for (const auto& in : op.reg.in_arrs)
-        if (log_->arrays_.count(in) == 0)
-          return Status::NotFound("input array not defined: " + in);
+      for (size_t i = 0; i < op.reg.in_arrs.size(); ++i) {
+        auto in_it = log_->arrays_.find(op.reg.in_arrs[i]);
+        if (in_it == log_->arrays_.end())
+          return Status::NotFound("input array not defined: " +
+                                  op.reg.in_arrs[i]);
+        DSLOG_RETURN_IF_ERROR(CheckEdgeArity(
+            op.reg.op_name, op.reg.in_arrs[i], op.reg.out_arr,
+            op.tables[i].out_ndim(), op.tables[i].in_ndim(), out_it->second,
+            in_it->second));
+      }
     }
     for (size_t i = 0; i < ops_.size(); ++i) {
       StagedOp& op = ops_[i];
@@ -273,7 +306,6 @@ Result<std::vector<ReuseOutcome>> StagedIngest::Drain() {
       edge.op_name = op.reg.op_name;
       edge.table =
           std::make_shared<const CompressedTable>(std::move(op.tables[i]));
-      if (i < op.forward.size()) edge.forward = std::move(op.forward[i]);
       edges.push_back(std::move(edge));
     }
   }
@@ -312,7 +344,6 @@ Result<bool> DSLog::FindEdgeCopy(const std::string& in_arr,
   out->out_arr = seg.out_arr;
   out->op_name = seg.op_name;
   out->table = nullptr;
-  out->forward = nullptr;
   out->segment = static_cast<int32_t>(segment);
   return true;
 }
@@ -372,6 +403,9 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
   // query's duration; every hop after this touches only its own shard.
   std::shared_ptr<const LogStore> store = log_store();
   std::vector<QueryHop> hops;
+  // Arity of the boxes entering the next hop: the query's, then each hop's
+  // far side. A mismatch is a caller error, rejected before any join runs.
+  int frontier_ndim = query.ndim();
   for (size_t k = 0; k + 1 < path.size(); ++k) {
     // Cancellation boundary: poll before paying for this hop's edge lookup,
     // segment resolve, and index build. Already-built hops' pins release on
@@ -401,6 +435,15 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     LogStore::ViewEvent ev;
     DSLOG_ASSIGN_OR_RETURN(
         auto pinned, ResolveEdgeView(edge, store.get(), prof ? &ev : nullptr));
+    const int enter_ndim =
+        forward ? pinned.view.in_ndim : pinned.view.out_ndim;
+    if (enter_ndim != frontier_ndim)
+      return Status::InvalidArgument(
+          "query arity mismatch at hop " + std::to_string(k) + " (" +
+          path[k] + " -> " + path[k + 1] + "): " +
+          std::to_string(frontier_ndim) + "-d boxes, " + path[k] + " is " +
+          std::to_string(enter_ndim) + "-d");
+    frontier_ndim = forward ? pinned.view.out_ndim : pinned.view.in_ndim;
     if (prof) {
       // Pre-fill this hop's edge identity + segment-resolution fields;
       // InSituQuery keeps them and adds the join-execution fields.
@@ -420,11 +463,9 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     QueryHop hop;
     hop.table = pinned.view;
     hop.forward = forward;
-    if (forward) hop.forward_table = edge.forward.get();
     hop.index = pinned.index;
     auto pin = std::make_shared<HopPin>();
     pin->table = std::move(edge.table);
-    pin->forward = std::move(edge.forward);
     pin->store_pin = std::move(pinned.pin);
     hop.pin = std::move(pin);
     hops.push_back(std::move(hop));

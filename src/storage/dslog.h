@@ -33,7 +33,6 @@
 #include "provrc/compressed_table.h"
 #include "query/box.h"
 #include "query/query_engine.h"
-#include "query/theta_join.h"
 #include "storage/logstore.h"
 #include "storage/signatures.h"
 
@@ -58,11 +57,6 @@ struct OperationRegistration {
 
 /// Configuration of a DSLog catalog.
 struct DSLogOptions {
-  /// Materialize the forward representation (§IV.C, Table III) next to the
-  /// stored backward table, trading memory for faster forward hops. The
-  /// paper stores "either or both versions depending on the distribution of
-  /// forward and reverse queries"; this flag is the "both" configuration.
-  bool materialize_forward = false;
   /// Number of lock-striped shards the edge catalog is split across (each
   /// shard has its own shared_mutex). Edges hash to a shard by output
   /// array, so one RegisterOperation commits all its edges under a single
@@ -76,8 +70,7 @@ struct DSLogOptions {
 struct InSituOptions {
   /// Mapping, checksum, and decode-cache behaviour of the backing LogStore.
   LogStoreOptions store;
-  /// Catalog behaviour of the opened DSLog (shard count; the
-  /// materialize_forward flag is not applied to mapped edges).
+  /// Catalog behaviour of the opened DSLog (its edge shard count).
   DSLogOptions catalog;
 };
 
@@ -103,12 +96,15 @@ class DSLog {
   /// Registers an executed operation (register_operation of §III.A).
   /// Lineage is ProvRC-compressed on ingest; when `registration.captured`
   /// is empty and a promoted signature matches, lineage is served from the
-  /// reuse index instead.
+  /// reuse index instead. Captured lineage whose arity differs from the
+  /// declared ranks of its arrays is InvalidArgument, with no catalog or
+  /// reuse state changed.
   Result<ReuseOutcome> RegisterOperation(OperationRegistration registration);
 
   /// Answers prov_query(X, query_cells): lineage between cells of the first
   /// array on `path` and cells of the last (§III.A / §V). `query` holds
-  /// boxes over the first array's indices.
+  /// boxes over the first array's indices; a hop whose edge does not take
+  /// boxes of the incoming arity is InvalidArgument naming the hop.
   ///
   /// Isolation: each traversed edge is read atomically (a hop sees a fully
   /// registered edge or none), and the hop pins the edge's table for the
@@ -180,8 +176,6 @@ class DSLog {
   /// The catalog stays writable: RegisterOperation adds ordinary in-memory
   /// edges next to the mapped ones (persist them with AppendLogStore); a
   /// resident edge shadows the mapped segment with the same key.
-  /// materialize_forward is not applied to mapped edges; forward hops run
-  /// directly on the backward representation.
   static Result<DSLog> OpenInSitu(const std::string& path,
                                   const InSituOptions& options = {});
 
@@ -230,9 +224,6 @@ class DSLog {
     /// is released, even across a concurrent re-registration. nullptr for
     /// lazy edges, which resolve through store_ by `segment`.
     std::shared_ptr<const CompressedTable> table;
-    /// Forward representation (§IV.C), present when
-    /// options_.materialize_forward is set.
-    std::shared_ptr<const ForwardTable> forward;
     /// LogStore segment id backing this edge, or -1 when resident.
     int32_t segment = -1;
   };
@@ -327,13 +318,15 @@ class StagedIngest {
   explicit StagedIngest(DSLog* log) : log_(log) {}
 
   /// Compresses `registration` and stages its edges. Takes no locks.
-  /// Array existence is validated at Drain() time (arrays may legitimately
-  /// be defined between Add and Drain).
+  /// Lineage ProvRC cannot encode is InvalidArgument here; array existence
+  /// and arity are validated at Drain() time (arrays may legitimately be
+  /// defined between Add and Drain).
   Status Add(OperationRegistration registration);
 
   /// Commits everything staged since the last Drain, in Add() order, and
-  /// returns one ReuseOutcome per staged registration. On error (e.g. an
-  /// undefined array) nothing is committed and the staged ops are kept.
+  /// returns one ReuseOutcome per staged registration. On error (an
+  /// undefined array, or lineage whose arity differs from its arrays'
+  /// ranks) nothing is committed and the staged ops are kept.
   Result<std::vector<ReuseOutcome>> Drain();
 
   int64_t staged() const { return static_cast<int64_t>(ops_.size()); }
@@ -342,7 +335,6 @@ class StagedIngest {
   struct StagedOp {
     OperationRegistration reg;  // captured relations already consumed
     std::vector<CompressedTable> tables;
-    std::vector<std::shared_ptr<const ForwardTable>> forward;
   };
 
   DSLog* log_;

@@ -230,9 +230,7 @@ TEST(ConcurrencyStressTest, ReadersVsWriterOracleConsistent) {
   std::vector<std::vector<int64_t>> shapes = {first_shape};
   for (const ChainStep& step : chain) shapes.push_back(step.out_shape);
 
-  DSLogOptions options;
-  options.materialize_forward = true;  // writer also builds ForwardTables
-  DSLog log(options);
+  DSLog log;
   ASSERT_TRUE(log.DefineArray(names[0], shapes[0]).ok());
 
   std::atomic<int> registered{0};
@@ -473,7 +471,6 @@ TEST_F(BatchFixture, TreeMergedParallelJoinIsDeterministic) {
 
 TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
   CompressedTable table = ProvRcCompress(chain_[0].rel);
-  ForwardTable fwd = ForwardTable::FromBackward(table);
   Rng rng(43);
   BoxTable query = BoxTable::FromCells(
       static_cast<int>(shapes_[0].size()),
@@ -485,18 +482,12 @@ TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
 
   BoxTable direct = ForwardThetaJoin(query, table, /*num_threads=*/8,
                                      /*merge_result=*/true);
-  BoxTable materialized = fwd.Join(query, /*num_threads=*/8,
-                                   /*merge_result=*/true);
   EXPECT_EQ(ToTupleSet(direct.ExpandToCells(), arity),
-            ToTupleSet(serial.ExpandToCells(), arity));
-  EXPECT_EQ(ToTupleSet(materialized.ExpandToCells(), arity),
             ToTupleSet(serial.ExpandToCells(), arity));
   for (int rep = 0; rep < 5; ++rep) {
     EXPECT_TRUE(BoxTablesIdentical(
         direct, ForwardThetaJoin(query, table, 8, true)))
         << "direct rep " << rep;
-    EXPECT_TRUE(BoxTablesIdentical(materialized, fwd.Join(query, 8, true)))
-        << "materialized rep " << rep;
   }
 }
 

@@ -2,8 +2,8 @@
 // op registry, registered into DSLog catalogs and queried in situ, compared
 // cell-for-cell (expanded, deduped) against the UncompressedQuery ground
 // truth — across query direction (forward, backward, mixed), the
-// merge_between_hops and materialize_forward knobs, and single- versus
-// multi-threaded θ-join evaluation. This extends the hand-built equivalence
+// merge_between_hops knob, resident versus in-situ catalogs, and single-
+// versus multi-threaded θ-join evaluation. This extends the hand-built equivalence
 // cases in query_test.cc with pipeline-level randomized coverage.
 
 #include <set>
@@ -35,8 +35,8 @@ using test_util::SampleCells;
 using test_util::ToTupleSet;
 using test_util::TupleSet;
 
-// Runs one path query against every catalog variant (in-memory, forward-
-// materialized, and the save -> OpenInSitu leg) under every knob
+// Runs one path query against every catalog variant (in-memory and the
+// save -> OpenInSitu leg) under every knob
 // combination and compares the expanded, deduplicated cell set to the
 // oracle.
 struct LogVariant {
@@ -77,11 +77,7 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
   ASSERT_GE(n, 2) << "pipeline generation starved, seed " << seed;
 
   DSLog plain;
-  DSLogOptions mat_options;
-  mat_options.materialize_forward = true;
-  DSLog materialized(mat_options);
   ASSERT_TRUE(RegisterDag(dag, &plain).ok());
-  ASSERT_TRUE(RegisterDag(dag, &materialized).ok());
 
   // In-situ leg: persist the catalog as a LogStore file and serve the same
   // queries through the mapped, lazily-decoded path (at 1 and 4 threads,
@@ -93,7 +89,7 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
   ASSERT_TRUE(insitu_opened.ok()) << insitu_opened.status().ToString();
   const DSLog& insitu = insitu_opened.value();
   const std::vector<LogVariant> variants = {
-      {&plain, "plain"}, {&materialized, "materialized"}, {&insitu, "insitu"}};
+      {&plain, "plain"}, {&insitu, "insitu"}};
 
   Rng rng(seed * 31 + 7);
 
@@ -362,20 +358,13 @@ TEST_P(SoAVsAosJoinTest, KernelsMatchAosOracleOnRandomPipelines) {
 
         BoxTable fwd = ForwardThetaJoin(fwd_q, table, threads);
         BoxTable want_fwd = AosForwardJoin(fwd_q, rows, l, m);
-        BoxTable fwd_mat =
-            ForwardTable::FromBackward(table).Join(fwd_q, threads);
         if (merge) {
           fwd.Merge();
           want_fwd.Merge();
-          fwd_mat.Merge();
         }
         EXPECT_EQ(ToTupleSet(fwd.ExpandToCells(), l),
                   ToTupleSet(want_fwd.ExpandToCells(), l))
             << label << " forward merge=" << merge << " threads=" << threads;
-        EXPECT_EQ(ToTupleSet(fwd_mat.ExpandToCells(), l),
-                  ToTupleSet(want_fwd.ExpandToCells(), l))
-            << label << " forward-materialized merge=" << merge
-            << " threads=" << threads;
       }
     }
   }

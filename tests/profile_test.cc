@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -117,7 +119,6 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     EXPECT_EQ(hp.out_arr, "a" + std::to_string(step + 1));
     EXPECT_EQ(hp.op_name, "step_" + std::to_string(step));
     EXPECT_FALSE(hp.forward);
-    EXPECT_FALSE(hp.used_forward_table);
 
     // Cold columnar store: every hop resolves its segment as a zero-copy
     // borrow — no decode, no rows copied, exact on-disk byte count.
@@ -278,6 +279,20 @@ TEST(ProfileTest, JsonAndTextExports) {
     EXPECT_NE(json.find(field), std::string::npos) << "missing " << field;
   }
   EXPECT_EQ(json.find("\"est_rows\""), std::string::npos);
+  // Exactly these keys: no planner estimate and no per-hop representation
+  // marker (every forward hop runs the one direct join).
+  std::set<std::string> keys;
+  const std::regex key_re("\"([a-z_0-9]+)\": ");
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), key_re);
+       it != std::sregex_iterator(); ++it)
+    keys.insert((*it)[1].str());
+  const std::set<std::string> want_keys = {
+      "simd_isa", "num_threads", "merge_between_hops", "wall_ms",
+      "result_boxes", "hops", "hop", "in_arr", "out_arr", "op_name",
+      "forward", "from_store", "cache_hit", "borrowed", "segment_bytes",
+      "bytes_decompressed", "rows_materialized", "resolve_us", "table_rows",
+      "probes", "rows_scanned", "rows_emitted"};
+  EXPECT_EQ(keys, want_keys);
   // Well-formed enough to balance braces (cheap structural check; CI
   // validates the trace JSON against a real parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),

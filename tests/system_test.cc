@@ -194,6 +194,132 @@ TEST(DSLogTest, DefineAndRegisterAndQuery) {
   EXPECT_FALSE(log.ProvQuery({"x", "nope"}, q).ok());
 }
 
+// Arity errors are typed: a query or captured lineage whose arity
+// disagrees with the arrays is InvalidArgument (never an abort inside a
+// θ-join kernel), and a rejected registration changes no catalog or reuse
+// state.
+void ExpectSameReuseStats(const ReuseStats& a, const ReuseStats& b) {
+  EXPECT_EQ(a.base_hits, b.base_hits);
+  EXPECT_EQ(a.dim_hits, b.dim_hits);
+  EXPECT_EQ(a.gen_hits, b.gen_hits);
+  EXPECT_EQ(a.dim_promotions, b.dim_promotions);
+  EXPECT_EQ(a.gen_promotions, b.gen_promotions);
+  EXPECT_EQ(a.dim_rejections, b.dim_rejections);
+  EXPECT_EQ(a.gen_rejections, b.gen_rejections);
+  EXPECT_EQ(a.mispredictions, b.mispredictions);
+}
+
+/// Registers negative(in) -> out over 1-d arrays of length 8.
+Status RegisterNegative(DSLog* log, const std::string& in,
+                        const std::string& out) {
+  Rng rng(17);
+  NDArray xv = NDArray::Random({8}, &rng);
+  const ArrayOp* neg = OpRegistry::Global().Find("negative");
+  NDArray yv = neg->Apply({&xv}, OpArgs()).ValueOrDie();
+  auto rels = neg->Capture({&xv}, yv, OpArgs()).ValueOrDie();
+  OperationRegistration reg{"negative", {in}, out, {rels[0]}, OpArgs(), 0,
+                            true};
+  return log->RegisterOperation(std::move(reg)).status();
+}
+
+/// negative-shaped lineage with a 2-d output side: wrong for 1-d arrays.
+LineageRelation TwoDimOutputRelation() {
+  LineageRelation rel(2, 1);
+  rel.set_shapes({4, 2}, {8});
+  for (int64_t i = 0; i < 8; ++i)
+    rel.Add(std::vector<int64_t>{i / 2, i % 2}, std::vector<int64_t>{i});
+  return rel;
+}
+
+TEST(DSLogTest, WrongArityQueryIsInvalidArgument) {
+  DSLog log;
+  ASSERT_TRUE(log.DefineArray("A", {8}).ok());
+  ASSERT_TRUE(log.DefineArray("B", {8}).ok());
+  ASSERT_TRUE(RegisterNegative(&log, "A", "B").ok());
+  const int64_t footprint = log.StorageFootprintBytes();
+
+  const BoxTable box2d = BoxTable::FromCells(2, {1, 1});
+  for (const std::vector<std::string>& path :
+       {std::vector<std::string>{"A", "B"},
+        std::vector<std::string>{"B", "A"}}) {
+    auto r = log.ProvQuery(path, box2d);
+    ASSERT_FALSE(r.ok()) << path[0] << " -> " << path[1];
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("hop 0"), std::string::npos)
+        << r.status().ToString();
+  }
+  auto batch = log.ProvQueryBatch({{"A", "B"}}, {box2d});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+
+  // The catalog still answers well-formed queries.
+  auto ok = log.ProvQuery({"A", "B"}, BoxTable::FromCells(1, {3}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().ExpandToCells(), std::vector<int64_t>{3});
+  EXPECT_EQ(log.StorageFootprintBytes(), footprint);
+}
+
+TEST(DSLogTest, WrongArityRegistrationChangesNothing) {
+  DSLog log;
+  for (const char* name : {"x0", "y0", "x1", "y1", "x2", "y2"})
+    ASSERT_TRUE(log.DefineArray(name, {8}).ok());
+  ASSERT_TRUE(RegisterNegative(&log, "x0", "y0").ok());
+  const ReuseStats stats = log.reuse_stats();
+  const int64_t footprint = log.StorageFootprintBytes();
+
+  // Same op and array shapes as the verified call, so a predictor update
+  // would have recorded a misprediction.
+  OperationRegistration bad{
+      "negative", {"x1"}, "y1", {TwoDimOutputRelation()}, OpArgs(), 0, true};
+  auto r = log.RegisterOperation(std::move(bad));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.FindEdge("x1", "y1"), nullptr);
+  EXPECT_EQ(log.StorageFootprintBytes(), footprint);
+  ExpectSameReuseStats(log.reuse_stats(), stats);
+  EXPECT_FALSE(log.ProvQuery({"x1", "y1"}, BoxTable::FromCells(1, {0})).ok());
+
+  // The next well-formed call is served exactly as if the rejected one
+  // never happened: the mapping verified by the first call still promotes.
+  ASSERT_TRUE(RegisterNegative(&log, "x1", "y1").ok());
+  OperationRegistration predicted{"negative", {"x2"}, "y2", {}, OpArgs(), 0,
+                                  true};
+  auto served = log.RegisterOperation(std::move(predicted));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served.value().dim_hit);
+  EXPECT_EQ(log.reuse_stats().mispredictions, 0);
+}
+
+TEST(DSLogTest, WrongArityStagedDrainChangesNothing) {
+  DSLog log;
+  for (const char* name : {"x0", "y0", "x1", "y1"})
+    ASSERT_TRUE(log.DefineArray(name, {8}).ok());
+  ASSERT_TRUE(RegisterNegative(&log, "x0", "y0").ok());
+  const ReuseStats stats = log.reuse_stats();
+  const int64_t footprint = log.StorageFootprintBytes();
+
+  // Add takes no locks and cannot see the arrays, so it stages the op;
+  // Drain rejects it before any predictor update or edge commit.
+  StagedIngest stager(&log);
+  OperationRegistration bad{
+      "negative", {"x1"}, "y1", {TwoDimOutputRelation()}, OpArgs(), 0, true};
+  ASSERT_TRUE(stager.Add(std::move(bad)).ok());
+  auto drained = stager.Drain();
+  ASSERT_FALSE(drained.ok());
+  EXPECT_EQ(drained.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stager.staged(), 1);  // kept, as for any error drain
+  EXPECT_EQ(log.FindEdge("x1", "y1"), nullptr);
+  EXPECT_EQ(log.StorageFootprintBytes(), footprint);
+  ExpectSameReuseStats(log.reuse_stats(), stats);
+
+  // Lineage ProvRC cannot encode never reaches the compressor.
+  OperationRegistration empty_arity{"negative", {"x1"}, "y1",
+                                    {LineageRelation(0, 1)}, OpArgs(), 0,
+                                    true};
+  Status st = StagedIngest(&log).Add(std::move(empty_arity));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DSLogTest, DimSigReuseAfterOneVerification) {
   DSLog log;
   Rng rng(10);
@@ -284,37 +410,44 @@ TEST(DSLogTest, GenSigServesDifferentShape) {
 }
 
 TEST(DSLogTest, MaterializedForwardMatchesDirect) {
-  // The §IV.C forward representation must answer every query identically
-  // to the direct join over the backward representation.
+  // Forward hops de-relativize on the fly over the backward table (§IV.C's
+  // forward table is never stored), whether the edge is resident or mapped
+  // from a LogStore: both answer every forward path query identically, and
+  // equal to the uncompressed oracle.
   auto wfr = BuildRandomNumpyWorkflow(4, 400, 97);
   ASSERT_TRUE(wfr.ok());
   const Workflow& wf = wfr.value();
-  DSLogOptions fwd_opts;
-  fwd_opts.materialize_forward = true;
-  DSLog direct;
-  DSLog materialized(fwd_opts);
-  for (DSLog* log : {&direct, &materialized}) {
-    for (size_t i = 0; i < wf.array_names.size(); ++i)
-      ASSERT_TRUE(log->DefineArray(wf.array_names[i], wf.shapes[i]).ok());
-    for (size_t i = 0; i < wf.steps.size(); ++i) {
-      OperationRegistration reg;
-      reg.op_name = wf.steps[i].op_name;
-      reg.in_arrs = {wf.array_names[i]};
-      reg.out_arr = wf.array_names[i + 1];
-      reg.captured = {wf.steps[i].relation};
-      ASSERT_TRUE(log->RegisterOperation(std::move(reg)).ok());
-    }
+  DSLog resident;
+  for (size_t i = 0; i < wf.array_names.size(); ++i)
+    ASSERT_TRUE(resident.DefineArray(wf.array_names[i], wf.shapes[i]).ok());
+  std::vector<RelationHop> rhops;
+  for (size_t i = 0; i < wf.steps.size(); ++i) {
+    OperationRegistration reg;
+    reg.op_name = wf.steps[i].op_name;
+    reg.in_arrs = {wf.array_names[i]};
+    reg.out_arr = wf.array_names[i + 1];
+    reg.captured = {wf.steps[i].relation};
+    ASSERT_TRUE(resident.RegisterOperation(std::move(reg)).ok());
+    rhops.push_back({&wf.steps[i].relation, true});
   }
+  const std::string store_path = ScratchDir() + "/dslog_forward_insitu.dsl";
+  ASSERT_TRUE(resident.SaveLogStore(store_path).ok());
+  auto opened = DSLog::OpenInSitu(store_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const DSLog& insitu = opened.value();
+
+  const int arity = static_cast<int>(wf.shapes.back().size());
   std::vector<std::string> path(wf.array_names.begin(), wf.array_names.end());
   for (int64_t cell : {int64_t{0}, int64_t{17}, int64_t{399}}) {
     BoxTable q = BoxTable::FromCells(1, {cell});
-    auto r1 = direct.ProvQuery(path, q);
-    auto r2 = materialized.ProvQuery(path, q);
+    auto r1 = resident.ProvQuery(path, q);
+    auto r2 = insitu.ProvQuery(path, q);
     ASSERT_TRUE(r1.ok() && r2.ok());
-    EXPECT_EQ(ToTupleSet(r1.value().ExpandToCells(),
-                         static_cast<int>(wf.shapes.back().size())),
-              ToTupleSet(r2.value().ExpandToCells(),
-                         static_cast<int>(wf.shapes.back().size())));
+    const auto want = ToTupleSet(UncompressedQuery(rhops, {cell}), arity);
+    EXPECT_EQ(ToTupleSet(r1.value().ExpandToCells(), arity), want)
+        << "resident cell " << cell;
+    EXPECT_EQ(ToTupleSet(r2.value().ExpandToCells(), arity), want)
+        << "in-situ cell " << cell;
   }
 }
 

@@ -886,6 +886,85 @@ TEST(AdversarialWireTest, ZeroDimForgedBoxCountQueryAnswersPromptly) {
   ExpectServiceable(*server);
 }
 
+TEST(AdversarialWireTest, MismatchedArityQueryAnswersTypedErrorAndServes) {
+  // A query box of the wrong arity for its path, and lineage of the wrong
+  // arity for its arrays, are typed InvalidArgument errors: neither may
+  // reach a θ-join kernel's arity check, which aborts the process.
+  auto server = StartServer();
+  auto connected = DslogClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(connected.ok());
+  std::unique_ptr<DslogClient> client = std::move(connected).value();
+  ASSERT_TRUE(client->OpenStore("t", true).ok());
+  for (const char* name : {"A", "B", "C"})
+    ASSERT_TRUE(client->DefineArray(name, {8}).ok());
+  LineageRelation identity(1, 1);
+  identity.set_shapes({8}, {8});
+  for (int64_t i = 0; i < 8; ++i)
+    identity.Add(std::vector<int64_t>{i}, std::vector<int64_t>{i});
+  OperationRegistration good;
+  good.op_name = "copy";
+  good.in_arrs = {"A"};
+  good.out_arr = "B";
+  good.captured = {identity};
+  {
+    IngestHandle ingest(client.get());
+    ASSERT_TRUE(ingest.Add(good).ok());
+    ASSERT_TRUE(ingest.Drain().ok());
+  }
+  {
+    // 2-d output cells for the 1-d array C: the drain is refused.
+    auto second = DslogClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(second.ok());
+    ASSERT_TRUE(second.value()->OpenStore("t", false).ok());
+    LineageRelation wrong(2, 1);
+    wrong.set_shapes({4, 2}, {8});
+    for (int64_t i = 0; i < 8; ++i)
+      wrong.Add(std::vector<int64_t>{i / 2, i % 2}, std::vector<int64_t>{i});
+    OperationRegistration bad = good;
+    bad.out_arr = "C";
+    bad.captured = {wrong};
+    IngestHandle ingest(second.value().get());
+    ASSERT_TRUE(ingest.Add(bad).ok());
+    auto drained = ingest.Drain();
+    ASSERT_FALSE(drained.ok());
+    EXPECT_EQ(drained.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  RawConn conn(server->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.Hello());
+  OpenStoreRequest open;
+  open.store = "t";
+  open.create = false;
+  ASSERT_TRUE(conn.SendFrame(Opcode::kOpenStore, 2, open.Encode()));
+  auto opened = conn.ReadFrame();
+  ASSERT_TRUE(opened.has_value());
+  ASSERT_EQ(opened->opcode, static_cast<uint8_t>(Opcode::kOpenStoreOk));
+
+  QueryRequest req;
+  req.path = {"A", "B"};
+  req.query = BoxTable::FromCells(2, {1, 1});
+  ASSERT_TRUE(conn.SendFrame(Opcode::kQuery, 3, req.Encode()));
+  auto err = conn.ReadFrame();
+  ASSERT_TRUE(err.has_value()) << "server died on a mismatched-arity query";
+  EXPECT_EQ(err->opcode, static_cast<uint8_t>(Opcode::kError));
+  EXPECT_EQ(err->request_id, 3u);
+  EXPECT_EQ(DecodeStatusPayload(err->payload).code(),
+            StatusCode::kInvalidArgument);
+
+  // The same session answers a well-formed query.
+  req.query = BoxTable::FromCells(1, {3});
+  ASSERT_TRUE(conn.SendFrame(Opcode::kQuery, 4, req.Encode()));
+  auto ok = conn.ReadFrame();
+  ASSERT_TRUE(ok.has_value());
+  ASSERT_EQ(ok->opcode, static_cast<uint8_t>(Opcode::kQueryOk));
+  EXPECT_EQ(ok->request_id, 4u);
+  QueryResponse resp;
+  ASSERT_TRUE(QueryResponse::Decode(ok->payload, &resp));
+  EXPECT_EQ(resp.result.ExpandToCells(), std::vector<int64_t>{3});
+  ExpectServiceable(*server);
+}
+
 TEST(AdversarialWireTest, OversizedResponseAnswersTypedErrorNotCorruption) {
   // With a tiny frame cap the StatsOk JSON cannot be framed; the server
   // must answer a (small) typed error rather than emit a frame the
