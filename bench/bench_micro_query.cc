@@ -3,7 +3,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "array/ndarray.h"
 #include "array/op.h"
@@ -182,23 +184,59 @@ void BM_PredictorPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictorPredict)->ArgName("miss")->Arg(0)->Arg(1);
 
-void BM_BoxTableMerge(benchmark::State& state) {
+enum class MergeInput { kPoints, kPresorted, kWide };
+
+// Merge of state.range(0) boxes of `ndim` attributes. kPoints: random
+// points in [0, 99] per attribute (duplicates and adjacent runs; packed
+// keys). kPresorted: the same, already in the first pass's order.
+// kWide: intervals anywhere in [-2^40, 2^40], too wide to pack into one
+// 64-bit key, so every pass takes the comparator fallback.
+void BM_BoxTableMerge(benchmark::State& state, int ndim, MergeInput input) {
   Rng rng(8);
+  std::vector<Interval> box(static_cast<size_t>(ndim));
+  std::vector<std::vector<Interval>> rows;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    for (Interval& iv : box) {
+      if (input == MergeInput::kWide) {
+        const int64_t span = int64_t{1} << 40;
+        const int64_t lo = rng.UniformRange(-span, span);
+        iv = {lo, lo + rng.UniformRange(0, 7)};
+      } else {
+        iv = Interval::Point(rng.UniformRange(0, 99));
+      }
+    }
+    rows.push_back(box);
+  }
+  if (input == MergeInput::kPresorted) {
+    std::sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+      return std::lexicographical_compare(
+          x.begin(), x.end(), y.begin(), y.end(),
+          [](const Interval& p, const Interval& q) {
+            return CompareIntervals(p, q) < 0;
+          });
+    });
+  }
+  BoxTable input_table(ndim);
+  for (const auto& r : rows) input_table.AddBox(r);
   for (auto _ : state) {
     state.PauseTiming();
-    BoxTable t(2);
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      Interval box[2] = {Interval::Point(rng.UniformRange(0, 99)),
-                         Interval::Point(rng.UniformRange(0, 99))};
-      t.AddBox(box);
-    }
+    BoxTable t = input_table;
     state.ResumeTiming();
     t.Merge();
     benchmark::DoNotOptimize(t);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BoxTableMerge)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_BoxTableMerge, points_1d, 1, MergeInput::kPoints)
+    ->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_BoxTableMerge, points_2d, 2, MergeInput::kPoints)
+    ->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_BoxTableMerge, points_3d, 3, MergeInput::kPoints)
+    ->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_BoxTableMerge, presorted_2d, 2, MergeInput::kPresorted)
+    ->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_BoxTableMerge, wide_2d, 2, MergeInput::kWide)
+    ->Arg(1 << 10)->Arg(1 << 14);
 
 }  // namespace
 }  // namespace dslog

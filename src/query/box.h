@@ -55,6 +55,12 @@ class BoxTable {
 
   /// Coalesces adjacent boxes attribute-by-attribute (the same greedy
   /// multi-attribute range encoding ProvRC uses) and drops exact duplicates.
+  /// One pass per attribute, last first; each pass orders the boxes by the
+  /// other attributes, then the target, and unions target intervals that
+  /// overlap or touch. When every attribute's lo and extent (hi - lo) fit
+  /// one 64-bit key as offsets from their minima, the pass radix-sorts one
+  /// packed key per box; otherwise it sorts the rows with a comparator.
+  /// Both orders agree, so the output is the same either way.
   void Merge();
 
   /// Expands to explicit sorted, deduplicated cell tuples. Intended for

@@ -99,6 +99,7 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
     hp.probes = counters.probes.load(std::memory_order_relaxed);
     hp.rows_scanned = counters.rows_scanned.load(std::memory_order_relaxed);
     hp.rows_emitted = counters.rows_emitted.load(std::memory_order_relaxed);
+    hp.merge_us = counters.merge_us.load(std::memory_order_relaxed);
     hp.result_boxes = current.num_boxes();
     hops_run.Increment();
     hop_span.Arg("rows_scanned", hp.rows_scanned);
@@ -174,6 +175,7 @@ std::string QueryProfile::ToJson() const {
            ", \"rows_scanned\": " + Num(static_cast<double>(hp.rows_scanned)) +
            ", \"rows_emitted\": " + Num(static_cast<double>(hp.rows_emitted)) +
            ", \"result_boxes\": " + Num(static_cast<double>(hp.result_boxes)) +
+           ", \"merge_us\": " + Num(static_cast<double>(hp.merge_us)) +
            ", \"wall_ms\": " + Num(hp.wall_ms) + "}";
   }
   out += "\n]}";
@@ -196,10 +198,10 @@ std::string QueryProfile::ToText() const {
     std::snprintf(buf, sizeof(buf),
                   "  hop %zu [%s] %s: rows=%" PRId64 " probes=%" PRId64
                   " scanned=%" PRId64 " emitted=%" PRId64 " -> %" PRId64
-                  " boxes, %.3f ms\n",
+                  " boxes, %.3f ms (merge %" PRId64 " us)\n",
                   h, hp.forward ? "fwd" : "bwd", edge.c_str(),
                   hp.table_rows, hp.probes, hp.rows_scanned, hp.rows_emitted,
-                  hp.result_boxes, hp.wall_ms);
+                  hp.result_boxes, hp.wall_ms, hp.merge_us);
     out += buf;
     std::snprintf(
         buf, sizeof(buf), "        storage: %s%s\n",

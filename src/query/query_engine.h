@@ -72,6 +72,9 @@ struct HopProfile {
   int64_t rows_scanned = 0;  // candidate rows the interval index enumerated
   int64_t rows_emitted = 0;  // boxes emitted by the kernels (pre-Merge)
   int64_t result_boxes = 0;  // boxes handed to the next hop (post-Merge)
+  /// Time in the §V.B.3 merge (BoxTable::Merge), part of wall_ms. With
+  /// num_threads >= 2 it sums the workers' merges, so it can exceed wall_ms.
+  int64_t merge_us = 0;
   /// Always 0 and not exported: there is no cost model to estimate rows.
   /// The field stays only because the end-to-end benchmark (bench/e2e)
   /// still reads it for its query.planner_est_error metric.

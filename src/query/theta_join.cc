@@ -29,6 +29,24 @@ struct LocalJoinCounters {
   }
 };
 
+// Canonicalizes a join result. With counters (a profiled query) the merge
+// is timed into merge_us and traced as a BoxTable.Merge span; without them
+// it reads no clock and opens no span.
+void MergeResult(BoxTable* result, JoinCounters* counters) {
+  if (counters == nullptr) {
+    result->Merge();
+    return;
+  }
+  trace::Span span("BoxTable.Merge", "join");
+  span.Arg("boxes_in", result->num_boxes());
+  WallTimer timer;
+  result->Merge();
+  counters->merge_us.fetch_add(
+      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6),
+      std::memory_order_relaxed);
+  span.Arg("boxes_out", result->num_boxes());
+}
+
 // Pairwise tree reduction of per-worker output arenas on the shared pool.
 // Round k combines fixed index pairs (2p, 2p+1) — an odd tail rides to the
 // next round untouched — so the combine order (and therefore the exact
@@ -37,7 +55,8 @@ struct LocalJoinCounters {
 // order; with merging, every combine re-canonicalizes, keeping each
 // intermediate table small instead of paying one big Merge at the end.
 BoxTable TreeMergeParts(std::vector<BoxTable> parts, int result_ndim,
-                        bool merge_result, int num_threads) {
+                        bool merge_result, int num_threads,
+                        JoinCounters* counters) {
   if (parts.empty()) return BoxTable(result_ndim);
   if (parts.size() == 1) return std::move(parts.front());
   // The reduction only runs for parallel joins, so two clock reads + a few
@@ -58,7 +77,7 @@ BoxTable TreeMergeParts(std::vector<BoxTable> parts, int result_ndim,
           const size_t at = static_cast<size_t>(p);
           BoxTable combined = std::move(parts[2 * at]);
           combined.Append(parts[2 * at + 1]);
-          if (merge_result) combined.Merge();
+          if (merge_result) MergeResult(&combined, counters);
           next[at] = std::move(combined);
         },
         num_threads);
@@ -70,20 +89,22 @@ BoxTable TreeMergeParts(std::vector<BoxTable> parts, int result_ndim,
   return std::move(parts.front());
 }
 
-// Partitioned θ-join driver: splits the query boxes into `num_threads`
-// contiguous slices, runs `join` (the single-threaded join closed over the
-// stored table and its shared index) per slice into a private arena on the
-// shared pool, then tree-reduces the arenas. Set-equivalent to
-// join(query); with merge_result each worker canonicalizes its own arena
-// before the merging reduction (no single-threaded epilogue remains).
+// θ-join driver: with one thread (or one query box) runs `join` (the
+// single-threaded join closed over the stored table and its index)
+// directly. Otherwise splits the query boxes into `num_threads` contiguous
+// slices, runs `join` per slice into a private arena on the shared pool,
+// then tree-reduces the arenas. Set-equivalent to join(query); with
+// merge_result each worker canonicalizes its own arena before the merging
+// reduction (no single-threaded epilogue remains).
 template <typename JoinFn>
 BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
-                         int num_threads, bool merge_result, JoinFn&& join) {
+                         int num_threads, bool merge_result,
+                         JoinCounters* counters, JoinFn&& join) {
   const int64_t nq = query.num_boxes();
   const int64_t chunks = std::min<int64_t>(num_threads, nq);
   if (chunks <= 1) {
     BoxTable result = join(query);
-    if (merge_result) result.Merge();
+    if (merge_result) MergeResult(&result, counters);
     return result;
   }
   std::vector<BoxTable> parts(static_cast<size_t>(chunks));
@@ -91,12 +112,12 @@ BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
       chunks,
       [&](int64_t c) {
         BoxTable part = join(query.Slice(c * nq / chunks, (c + 1) * nq / chunks));
-        if (merge_result) part.Merge();
+        if (merge_result) MergeResult(&part, counters);
         parts[static_cast<size_t>(c)] = std::move(part);
       },
       num_threads);
   return TreeMergeParts(std::move(parts), result_ndim, merge_result,
-                        num_threads);
+                        num_threads, counters);
 }
 
 // Single-threaded backward kernel over the columns: each query box probes
@@ -220,15 +241,11 @@ BoxTable BackwardThetaJoin(const BoxTable& query,
     ephemeral = table.BuildBackwardIndex();
     index = &ephemeral;
   }
-  if (num_threads > 1) {
-    return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
-                           [&table, index, counters](const BoxTable& q) {
-                             return BackwardKernel(q, table, *index, counters);
-                           });
-  }
-  BoxTable result = BackwardKernel(query, table, *index, counters);
-  if (merge_result) result.Merge();
-  return result;
+  return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
+                         counters,
+                         [&table, index, counters](const BoxTable& q) {
+                           return BackwardKernel(q, table, *index, counters);
+                         });
 }
 
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
@@ -260,15 +277,11 @@ BoxTable ForwardThetaJoin(const BoxTable& query,
     hi0[static_cast<size_t>(r)] = base_hi + row_hi[l];
   }
   IntervalIndex index(lo0.data(), hi0.data(), table.num_rows, 1);
-  if (num_threads > 1) {
-    return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
-                           [&table, &index, counters](const BoxTable& q) {
-                             return ForwardKernel(q, table, index, counters);
-                           });
-  }
-  BoxTable result = ForwardKernel(query, table, index, counters);
-  if (merge_result) result.Merge();
-  return result;
+  return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
+                         counters,
+                         [&table, &index, counters](const BoxTable& q) {
+                           return ForwardKernel(q, table, index, counters);
+                         });
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,

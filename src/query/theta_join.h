@@ -45,6 +45,10 @@ struct JoinCounters {
   std::atomic<int64_t> rows_scanned{0};
   /// Boxes emitted by the kernels, before any Merge canonicalization.
   std::atomic<int64_t> rows_emitted{0};
+  /// Microseconds spent in BoxTable::Merge (merge_result joins), added once
+  /// per Merge call. Summed over workers, so a partitioned join can report
+  /// more than its wall time.
+  std::atomic<int64_t> merge_us{0};
 };
 
 // All joins accept a `num_threads` knob: when >= 2 the query-box table is

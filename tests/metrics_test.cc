@@ -298,6 +298,16 @@ TEST(ZeroOverheadTest, UnprofiledQueryTouchesNoProfileMetrics) {
   // outside the join loops, not per-candidate work).
   EXPECT_EQ(after.CounterValue("dslog.query.count"),
             before.CounterValue("dslog.query.count") + 1);
+
+  // No clock read either. The between-hop merge is the only step inside a
+  // hop that times itself, and its timer sits behind the same guard as its
+  // BoxTable.Merge span (JoinCounters passed). With tracing forced on, an
+  // unprofiled merging query still records no span at all.
+  trace::EnabledScope tracing(true);
+  const int64_t traced_before = trace::EventCount();
+  BoxTable traced = InSituQuery(hops, query, options);
+  EXPECT_EQ(trace::EventCount(), traced_before);
+  EXPECT_EQ(traced.num_boxes(), result.num_boxes());
 }
 
 // Counters are opt-in (nullptr at every unprofiled call site): passing a
@@ -315,6 +325,31 @@ TEST(ZeroOverheadTest, CountersAreOptInAndResultInvariant) {
   EXPECT_EQ(counters.probes.load(), 1);
   EXPECT_GT(counters.rows_scanned.load(), 0);
   EXPECT_EQ(counters.rows_emitted.load(), counted.num_boxes());
+  EXPECT_EQ(counters.merge_us.load(), 0);  // merge_result was false
+
+  // A merging join times its merge into merge_us and, with tracing on,
+  // emits exactly one BoxTable.Merge span carrying the box counts.
+  BoxTable plain_merged = BackwardThetaJoin(query, table, 1, true);
+  JoinCounters merge_counters;
+  trace::EnabledScope tracing(true);
+  const int64_t events_before = trace::EventCount();
+  BoxTable counted_merged =
+      BackwardThetaJoin(query, table, 1, true, &merge_counters);
+  ASSERT_EQ(plain_merged.num_boxes(), counted_merged.num_boxes());
+  EXPECT_LT(counted_merged.num_boxes(), counted.num_boxes());
+  EXPECT_GE(merge_counters.merge_us.load(), 0);
+  EXPECT_EQ(merge_counters.rows_emitted.load(), counted.num_boxes());
+  if (trace::kCompiledIn) {
+    EXPECT_EQ(trace::EventCount(), events_before + 1);
+    const std::string json = trace::ExportJson();
+    EXPECT_NE(json.find("\"BoxTable.Merge\""), std::string::npos);
+    EXPECT_NE(json.find("\"boxes_in\": " +
+                        std::to_string(counted.num_boxes())),
+              std::string::npos);
+    EXPECT_NE(json.find("\"boxes_out\": " +
+                        std::to_string(counted_merged.num_boxes())),
+              std::string::npos);
+  }
 }
 
 }  // namespace

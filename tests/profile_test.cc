@@ -146,6 +146,9 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     EXPECT_GE(hp.rows_emitted, hp.result_boxes);
     EXPECT_GT(hp.result_boxes, 0);
     EXPECT_GE(hp.wall_ms, 0.0);
+    // The merge runs inside the hop's timed join.
+    EXPECT_GE(hp.merge_us, 0);
+    EXPECT_LE(static_cast<double>(hp.merge_us), hp.wall_ms * 1000.0);
   }
   // The last hop's post-merge output is the query result.
   EXPECT_EQ(profile.hops.back().result_boxes, profile.result_boxes);
@@ -252,6 +255,8 @@ TEST(ProfileTest, HandBuiltHopsGetJoinFieldsOnly) {
     EXPECT_EQ(hp.table_rows, 200);
     EXPECT_GE(hp.probes, 1);
     EXPECT_GT(hp.rows_scanned, 0);
+    EXPECT_GE(hp.merge_us, 0);
+    EXPECT_LE(static_cast<double>(hp.merge_us), hp.wall_ms * 1000.0);
   }
   EXPECT_EQ(profile.hops[0].probes, query.num_boxes());
   EXPECT_EQ(profile.hops[1].probes, profile.hops[0].result_boxes);
@@ -291,7 +296,7 @@ TEST(ProfileTest, JsonAndTextExports) {
       "result_boxes", "hops", "hop", "in_arr", "out_arr", "op_name",
       "forward", "from_store", "cache_hit", "borrowed", "segment_bytes",
       "bytes_decompressed", "rows_materialized", "resolve_us", "table_rows",
-      "probes", "rows_scanned", "rows_emitted"};
+      "probes", "rows_scanned", "rows_emitted", "merge_us"};
   EXPECT_EQ(keys, want_keys);
   // Well-formed enough to balance braces (cheap structural check; CI
   // validates the trace JSON against a real parser).
@@ -303,6 +308,7 @@ TEST(ProfileTest, JsonAndTextExports) {
   EXPECT_NE(text.find("hop 2"), std::string::npos);
   EXPECT_NE(text.find("a2 -> a3"), std::string::npos);
   EXPECT_NE(text.find("borrowed"), std::string::npos);
+  EXPECT_NE(text.find("(merge "), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // central correctness property), multi-hop pipelines, and the merge
 // optimization.
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "query/box.h"
 #include "query/query_engine.h"
 #include "query/theta_join.h"
+#include "test_util.h"
 
 namespace dslog {
 namespace {
@@ -87,6 +91,155 @@ TEST(BoxTableTest, ExpandToCellsDedups) {
   t.AddBox({&a, 1});
   t.AddBox({&b, 1});
   EXPECT_EQ(t.NumDistinctCells(), 6);
+}
+
+// Byte identity: same arity, same boxes in the same order.
+void ExpectIdenticalBoxes(const BoxTable& got, const BoxTable& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.ndim(), want.ndim()) << what;
+  ASSERT_EQ(got.num_boxes(), want.num_boxes())
+      << what << "\ngot " << got.DebugString() << "want "
+      << want.DebugString();
+  for (int64_t i = 0; i < got.num_boxes(); ++i) {
+    auto a = got.Box(i);
+    auto b = want.Box(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
+        << what << ": box " << i << " differs\ngot " << got.DebugString()
+        << "want " << want.DebugString();
+  }
+}
+
+// Random box tables in the shapes Merge has to handle: narrow ranges that
+// pack into one 64-bit key and coalesce heavily, wide ranges with negative
+// values (62-bit lo columns, so from two attributes on the key exceeds 64
+// bits and the pass takes the comparator fallback), per-attribute spreads
+// that straddle the 64-bit boundary, injected duplicates, and
+// already-sorted input.
+BoxTable RandomMergeInput(int ndim, Rng* rng) {
+  enum Kind { kNarrow, kWide, kMixed };
+  const Kind kind = static_cast<Kind>(rng->Uniform(3));
+  // Sizes around and above the radix cut-over, plus the trivial ones.
+  static constexpr int64_t kSizes[] = {0, 1, 2, 3, 7, 40, 255, 256, 600, 2000};
+  const int64_t n = kSizes[rng->Uniform(std::size(kSizes))];
+  // Per attribute: a few anchors spread over 2^bits, then small offsets
+  // and widths, so even wide tables have runs that touch or overlap.
+  std::vector<std::vector<int64_t>> anchors(static_cast<size_t>(ndim));
+  for (auto& a : anchors) {
+    int bits = kind == kNarrow ? 0
+               : kind == kWide ? 61
+                               : static_cast<int>(rng->Uniform(48));
+    for (uint64_t j = 0, m = 1 + rng->Uniform(4); j < m; ++j) {
+      const int64_t span = int64_t{1} << bits;
+      a.push_back(bits == 0 ? 0 : rng->UniformRange(-span, span));
+    }
+  }
+  const int64_t reach =
+      kind == kNarrow ? 1 + static_cast<int64_t>(rng->Uniform(12)) : 8;
+  BoxTable t(ndim);
+  std::vector<Interval> box(static_cast<size_t>(ndim));
+  for (int64_t i = 0; i < n; ++i) {
+    if (i > 0 && rng->Bernoulli(0.15)) {  // duplicate an earlier box
+      auto prev = t.Box(
+          static_cast<int64_t>(rng->Uniform(static_cast<uint64_t>(i))));
+      box.assign(prev.begin(), prev.end());
+    } else {
+      for (size_t k = 0; k < box.size(); ++k) {
+        const auto& a = anchors[k];
+        const int64_t lo =
+            a[rng->Uniform(a.size())] + rng->UniformRange(0, reach);
+        box[k] = {lo, lo + rng->UniformRange(0, 3)};
+      }
+    }
+    t.AddBox(box);
+  }
+  if (rng->Bernoulli(0.2)) {  // already in the first pass's order
+    std::vector<std::vector<Interval>> rows;
+    for (int64_t i = 0; i < t.num_boxes(); ++i)
+      rows.emplace_back(t.Box(i).begin(), t.Box(i).end());
+    std::sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
+      return std::lexicographical_compare(
+          x.begin(), x.end(), y.begin(), y.end(),
+          [](const Interval& p, const Interval& q) {
+            return CompareIntervals(p, q) < 0;
+          });
+    });
+    BoxTable sorted(ndim);
+    for (const auto& r : rows) sorted.AddBox(r);
+    t = std::move(sorted);
+  }
+  return t;
+}
+
+TEST(BoxTableTest, MergeMatchesReferenceOnRandomTables) {
+  Rng rng(20240417);
+  for (int ndim = 1; ndim <= 6; ++ndim) {
+    for (int trial = 0; trial < 300; ++trial) {
+      const BoxTable input = RandomMergeInput(ndim, &rng);
+      BoxTable merged = input;
+      merged.Merge();
+      const std::string what = "ndim " + std::to_string(ndim) + " trial " +
+                               std::to_string(trial);
+      ExpectIdenticalBoxes(merged, test_util::ReferenceMerge(input), what);
+      // Merged output is sorted input for a second merge (which may still
+      // coalesce: the greedy passes are not idempotent).
+      BoxTable again = merged;
+      again.Merge();
+      ExpectIdenticalBoxes(again, test_util::ReferenceMerge(merged),
+                           what + " (re-merge)");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// Bounds at INT64_MIN and INT64_MAX: the adjacency test must not compute
+// hi + 1 past INT64_MAX (UB, fatal under -fsanitize=undefined), and the
+// packed-key ranges must not overflow. ReferenceMerge is itself UB here, so
+// the expected boxes are spelled out.
+TEST(BoxTableTest, MergeHandlesInt64Extremes) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto table = [](int ndim, std::vector<std::vector<Interval>> boxes) {
+    BoxTable t(ndim);
+    for (const auto& b : boxes) t.AddBox(b);
+    return t;
+  };
+
+  // Narrow ranges next to INT64_MAX (packed key): the run ending at kMax
+  // absorbs the duplicate point kMax; the gap at kMax - 4 survives.
+  BoxTable near_max = table(1, {{{kMax - 1, kMax}},
+                                {{kMax, kMax}},
+                                {{kMax - 6, kMax - 5}},
+                                {{kMax - 3, kMax - 2}}});
+  near_max.Merge();
+  ExpectIdenticalBoxes(near_max,
+                       table(1, {{{kMax - 6, kMax - 5}}, {{kMax - 3, kMax}}}),
+                       "near INT64_MAX");
+
+  // Full-range fields (comparator fallback): everything unions to one box.
+  BoxTable full =
+      table(1, {{{0, kMax}}, {{kMin, -1}}, {{5, kMax}}, {{kMin, kMin}}});
+  full.Merge();
+  ExpectIdenticalBoxes(full, table(1, {{{kMin, kMax}}}), "full range");
+
+  // 2-D: attribute 1 coalesces within each attribute-0 group; the groups
+  // stay apart, ordered by attribute 1 then attribute 0.
+  BoxTable grid = table(2, {{{kMax, kMax}, {0, 4}},
+                            {{kMax, kMax}, {5, kMax}},
+                            {{kMin, kMin}, {kMin, 0}},
+                            {{kMin, kMin}, {1, 1}},
+                            {{kMax, kMax}, {kMax, kMax}}});
+  grid.Merge();
+  ExpectIdenticalBoxes(grid,
+                       table(2, {{{kMin, kMin}, {kMin, 1}},
+                                 {{kMax, kMax}, {0, kMax}}}),
+                       "2-D extremes");
+
+  // 2-D packed: attribute 0 coalesces up to INT64_MAX.
+  BoxTable corner =
+      table(2, {{{kMax, kMax}, {7, 7}}, {{kMax - 1, kMax - 1}, {7, 7}}});
+  corner.Merge();
+  ExpectIdenticalBoxes(corner, table(2, {{{kMax - 1, kMax}, {7, 7}}}),
+                       "2-D corner");
 }
 
 // ------------------------------------------------------- worked example --

@@ -2,13 +2,14 @@
 // conversion (for set-semantics comparison against the uncompressed
 // oracle), random cell sampling over an array shape, and the seeded
 // random-pipeline generator the differential suites (in-process and over
-// the network server) both ingest from.
+// the network server) both ingest from, and the reference BoxTable merge.
 
 #ifndef DSLOG_TESTS_TEST_UTIL_H_
 #define DSLOG_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "lineage/lineage_relation.h"
+#include "query/box.h"
 #include "storage/dslog.h"
 
 namespace dslog {
@@ -49,6 +51,73 @@ inline std::vector<int64_t> SampleCells(const std::vector<int64_t>& shape,
     cells.insert(cells.end(), idx.begin(), idx.end());
   }
   return cells;
+}
+
+/// The original BoxTable::Merge, kept as the oracle for the packed-key
+/// merge: per attribute (last first), std::sort an index permutation with an
+/// attribute-by-attribute comparator, then sweep duplicates, adjacent and
+/// overlapping target intervals. Its adjacency test `cur.hi + 1` overflows
+/// when hi == INT64_MAX, so it must not be fed such boxes.
+inline BoxTable ReferenceMerge(const BoxTable& in) {
+  const int ndim = in.ndim();
+  BoxTable table = in;
+  if (ndim == 0 || table.empty()) return table;
+  for (int target = ndim - 1; target >= 0; --target) {
+    int64_t n = table.num_boxes();
+    std::vector<int64_t> order(static_cast<size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      auto ba = table.Box(a);
+      auto bb = table.Box(b);
+      for (int k = 0; k < ndim; ++k) {
+        if (k == target) continue;
+        int c = CompareIntervals(ba[static_cast<size_t>(k)],
+                                 bb[static_cast<size_t>(k)]);
+        if (c != 0) return c < 0;
+      }
+      return CompareIntervals(ba[static_cast<size_t>(target)],
+                              bb[static_cast<size_t>(target)]) < 0;
+    });
+
+    BoxTable merged(ndim);
+    std::vector<Interval> acc;
+    bool open = false;
+    auto flush = [&]() {
+      if (open) merged.AddBox(acc);
+      open = false;
+    };
+    for (int64_t idx : order) {
+      auto box = table.Box(idx);
+      if (!open) {
+        acc.assign(box.begin(), box.end());
+        open = true;
+        continue;
+      }
+      bool same_others = true;
+      for (int k = 0; k < ndim && same_others; ++k)
+        if (k != target &&
+            !(acc[static_cast<size_t>(k)] == box[static_cast<size_t>(k)]))
+          same_others = false;
+      const Interval& cur = acc[static_cast<size_t>(target)];
+      const Interval& next = box[static_cast<size_t>(target)];
+      if (same_others && cur == next) continue;  // exact duplicate box
+      if (same_others && cur.AdjacentBefore(next)) {
+        acc[static_cast<size_t>(target)].hi = next.hi;
+        continue;
+      }
+      // Also coalesce overlapping intervals (unions stay unions).
+      if (same_others && next.lo <= cur.hi + 1) {
+        acc[static_cast<size_t>(target)].hi = std::max(cur.hi, next.hi);
+        continue;
+      }
+      flush();
+      acc.assign(box.begin(), box.end());
+      open = true;
+    }
+    flush();
+    table = std::move(merged);
+  }
+  return table;
 }
 
 // A random linear pipeline x0 -> x1 -> ... -> xn plus (when generation
