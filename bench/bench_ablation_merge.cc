@@ -26,11 +26,6 @@ namespace {
 
 constexpr int kMinReps = 21;
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 double TimeQuery(const std::vector<QueryHop>& hops, const BoxTable& q,
                  const QueryOptions& options) {
   WallTimer timer;

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
         // Gunzip every stored edge before the query can run.
         const LogStore& store = *cold.value().log_store();
         for (size_t id = 0; id < store.segment_count(); ++id) {
-          auto pinned = store.View(id);
+          auto pinned = store.View(id, /*forward=*/false);
           DSLOG_CHECK(pinned.ok()) << pinned.status().ToString();
         }
         auto got = cold.value().ProvQuery(wp.backward_path, wp.query);

@@ -260,9 +260,8 @@ double QueryArrayVectorized(const std::vector<std::string>& buffers,
   return timer.ElapsedSeconds();
 }
 
-double QueryDSLog(const std::vector<std::string>& buffers,
-                  const std::vector<int64_t>& query_cells, int query_ndim,
-                  bool merge) {
+std::vector<CompressedTable> DecodeDSLogTables(
+    const std::vector<std::string>& buffers, double* decode_s) {
   WallTimer timer;
   std::vector<CompressedTable> tables;
   tables.reserve(buffers.size());
@@ -271,6 +270,14 @@ double QueryDSLog(const std::vector<std::string>& buffers,
     DSLOG_CHECK(t.ok()) << t.status().ToString();
     tables.push_back(std::move(t).ValueOrDie());
   }
+  if (decode_s != nullptr) *decode_s = timer.ElapsedSeconds();
+  return tables;
+}
+
+double QueryDSLog(const std::vector<CompressedTable>& tables,
+                  const std::vector<int64_t>& query_cells, int query_ndim,
+                  bool merge) {
+  WallTimer timer;
   std::vector<QueryHop> hops;
   for (const auto& t : tables) hops.push_back({&t, /*forward=*/true});
   BoxTable q = BoxTable::FromCells(query_ndim, query_cells);

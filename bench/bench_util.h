@@ -5,6 +5,7 @@
 #ifndef DSLOG_BENCH_BENCH_UTIL_H_
 #define DSLOG_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -301,9 +302,21 @@ double QueryArrayVectorized(const std::vector<std::string>& buffers,
                             const std::vector<int64_t>& query_cells,
                             int query_ndim, double timeout_seconds);
 
-/// Forward query through DSLog: deserialize the compressed tables and run
-/// the in-situ θ-join chain.
-double QueryDSLog(const std::vector<std::string>& buffers,
+/// Median of a non-empty sample (the upper middle for an even count).
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Deserializes a workflow's ProvRC-GZip tables (DSLog's storage) into
+/// owned tables; `decode_s`, when non-null, receives the wall time spent.
+std::vector<CompressedTable> DecodeDSLogTables(
+    const std::vector<std::string>& buffers, double* decode_s = nullptr);
+
+/// Forward query through DSLog over decoded tables: times the in-situ
+/// θ-join chain only. The first call on fresh tables also builds their
+/// cached forward indexes.
+double QueryDSLog(const std::vector<CompressedTable>& tables,
                   const std::vector<int64_t>& query_cells, int query_ndim,
                   bool merge);
 

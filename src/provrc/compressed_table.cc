@@ -1,5 +1,6 @@
 #include "provrc/compressed_table.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -33,7 +34,53 @@ void ForEachPoint(const std::vector<Interval>& intervals, Fn&& fn) {
   }
 }
 
+// The attribute a uniformly drawn point probe is expected to hit least:
+// attribute k costs Σ_rows extent_k / shape_k, the expected number of rows
+// whose interval on k contains the probe. An index returns every row that
+// overlaps the probe on its own attribute and the kernels test the rest,
+// so the cheapest attribute scans least. Strict < keeps the lowest
+// attribute on ties. `iv(r, k)` is row r's interval on attribute k.
+template <typename IntervalFn>
+int32_t LeastHitAttr(int32_t ndim, const int64_t* shape, int64_t num_rows,
+                     IntervalFn&& iv) {
+  if (ndim <= 1) return 0;
+  std::vector<double> extent(static_cast<size_t>(ndim), 0.0);
+  for (int64_t r = 0; r < num_rows; ++r)
+    for (int32_t k = 0; k < ndim; ++k)
+      extent[static_cast<size_t>(k)] += static_cast<double>(iv(r, k).width());
+  const auto cost = [&](int32_t k) {
+    return extent[static_cast<size_t>(k)] /
+           static_cast<double>(std::max<int64_t>(shape[k], 1));
+  };
+  int32_t best = 0;
+  for (int32_t k = 1; k < ndim; ++k)
+    if (cost(k) < cost(best)) best = k;
+  return best;
+}
+
 }  // namespace
+
+IntervalIndex CompressedTableView::BuildBackwardIndex() const {
+  const int32_t attr =
+      LeastHitAttr(out_ndim, out_shape, num_rows,
+                   [this](int64_t r, int32_t k) { return out_iv(r, k); });
+  return IntervalIndex(lo + attr, hi + attr, num_rows, stride(), attr);
+}
+
+IntervalIndex CompressedTableView::BuildForwardIndex() const {
+  const int32_t attr = LeastHitAttr(
+      in_ndim, in_shape, num_rows,
+      [this](int64_t r, int32_t i) { return implied_in_iv(r, i); });
+  std::vector<int64_t> implied_lo(static_cast<size_t>(num_rows));
+  std::vector<int64_t> implied_hi(static_cast<size_t>(num_rows));
+  for (int64_t r = 0; r < num_rows; ++r) {
+    const Interval iv = implied_in_iv(r, attr);
+    implied_lo[static_cast<size_t>(r)] = iv.lo;
+    implied_hi[static_cast<size_t>(r)] = iv.hi;
+  }
+  return IntervalIndex(implied_lo.data(), implied_hi.data(), num_rows, 1,
+                       attr);
+}
 
 CompressedTable::CompressedTable(const CompressedTable& o)
     : out_shape_(o.out_shape_),
@@ -43,7 +90,8 @@ CompressedTable::CompressedTable(const CompressedTable& o)
       hi_(o.hi_),
       ref_(o.ref_) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
-  index_ = o.index_;  // immutable once built; safe to share
+  backward_index_ = o.backward_index_;  // immutable once built; safe to share
+  forward_index_ = o.forward_index_;
   digest_ = o.digest_;
 }
 
@@ -56,7 +104,8 @@ CompressedTable& CompressedTable::operator=(const CompressedTable& o) {
   hi_ = o.hi_;
   ref_ = o.ref_;
   std::scoped_lock lock(index_mu_, o.index_mu_);
-  index_ = o.index_;
+  backward_index_ = o.backward_index_;
+  forward_index_ = o.forward_index_;
   digest_ = o.digest_;
   return *this;
 }
@@ -69,7 +118,8 @@ CompressedTable::CompressedTable(CompressedTable&& o) noexcept
       hi_(std::move(o.hi_)),
       ref_(std::move(o.ref_)) {
   std::lock_guard<std::mutex> lock(o.index_mu_);
-  index_ = std::move(o.index_);
+  backward_index_ = std::move(o.backward_index_);
+  forward_index_ = std::move(o.forward_index_);
   digest_ = std::exchange(o.digest_, std::nullopt);
   o.num_rows_ = 0;
 }
@@ -83,7 +133,8 @@ CompressedTable& CompressedTable::operator=(CompressedTable&& o) noexcept {
   hi_ = std::move(o.hi_);
   ref_ = std::move(o.ref_);
   std::scoped_lock lock(index_mu_, o.index_mu_);
-  index_ = std::move(o.index_);
+  backward_index_ = std::move(o.backward_index_);
+  forward_index_ = std::move(o.forward_index_);
   digest_ = std::exchange(o.digest_, std::nullopt);
   o.num_rows_ = 0;
   return *this;
@@ -91,7 +142,8 @@ CompressedTable& CompressedTable::operator=(CompressedTable&& o) noexcept {
 
 void CompressedTable::InvalidateCaches() {
   std::lock_guard<std::mutex> lock(index_mu_);
-  index_.reset();
+  backward_index_.reset();
+  forward_index_.reset();
   digest_.reset();
 }
 
@@ -173,10 +225,18 @@ CompressedTableView CompressedTable::view() const {
 
 std::shared_ptr<const IntervalIndex> CompressedTable::BackwardIndex() const {
   std::lock_guard<std::mutex> lock(index_mu_);
-  if (!index_)
-    index_ = std::make_shared<const IntervalIndex>(lo_.data(), hi_.data(),
-                                                   num_rows_, stride());
-  return index_;
+  if (!backward_index_)
+    backward_index_ =
+        std::make_shared<const IntervalIndex>(view().BuildBackwardIndex());
+  return backward_index_;
+}
+
+std::shared_ptr<const IntervalIndex> CompressedTable::ForwardIndex() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (!forward_index_)
+    forward_index_ =
+        std::make_shared<const IntervalIndex>(view().BuildForwardIndex());
+  return forward_index_;
 }
 
 ColumnarDigest CompressedTable::columnar_digest() const {

@@ -98,6 +98,16 @@ struct CompressedTableView {
     return rf >= 0 ? InputCell::Relative(rf, in_iv(r, i))
                    : InputCell::Absolute(in_iv(r, i));
   }
+  /// The absolute input interval row r implies on input attribute i: the
+  /// stored interval of an absolute cell, or the referenced output
+  /// interval widened by the delta of a relative one.
+  Interval implied_in_iv(int64_t r, int32_t i) const {
+    const Interval iv = in_iv(r, i);
+    const int32_t rf = in_ref(r, i);
+    if (rf < 0) return iv;
+    const Interval base = out_iv(r, rf);
+    return {base.lo + iv.lo, base.hi + iv.hi};
+  }
 
   std::span<const int64_t> out_shape_span() const {
     return {out_shape, static_cast<size_t>(out_ndim)};
@@ -106,11 +116,15 @@ struct CompressedTableView {
     return {in_shape, static_cast<size_t>(in_ndim)};
   }
 
-  /// Builds the sorted interval index over output attribute 0 (the
-  /// backward-join probe column). O(n log n); cache the result.
-  IntervalIndex BuildBackwardIndex() const {
-    return IntervalIndex(lo, hi, num_rows, stride());
-  }
+  /// Builds the backward-join index: over the output attribute whose
+  /// intervals cover the smallest share of their axis, summed over rows
+  /// (the attribute a point probe is expected to hit least; the lowest
+  /// attribute wins ties). O(n log n); cache the result.
+  IntervalIndex BuildBackwardIndex() const;
+
+  /// Builds the forward-join index the same way, over the rows' implied
+  /// absolute input intervals (implied_in_iv). O(n log n); cache it.
+  IntervalIndex BuildForwardIndex() const;
 };
 
 /// Length and FNV-64 hash of a table's PRC2 columnar image: exactly the
@@ -169,8 +183,8 @@ class CompressedTable {
                    : InputCell::Absolute(in_iv(r, i));
   }
 
-  // Cell mutators (reshape instantiation). Invalidate the cached index and
-  // digest.
+  // Cell mutators (reshape instantiation). Invalidate the cached indexes
+  // and digest.
   void set_out_iv(int64_t r, int32_t k, Interval iv);
   void set_in_iv(int64_t r, int32_t i, Interval iv);
 
@@ -192,10 +206,14 @@ class CompressedTable {
   /// or destruction).
   CompressedTableView view() const;
 
-  /// The sorted interval index over output attribute 0, built lazily on
-  /// first use and shared across queries (and across copies of the table).
-  /// Thread-safe; mutations invalidate it.
+  /// The backward-join index (view().BuildBackwardIndex()), built lazily
+  /// on first use and shared across queries (and across copies of the
+  /// table). Thread-safe; mutations invalidate it.
   std::shared_ptr<const IntervalIndex> BackwardIndex() const;
+
+  /// The forward-join index (view().BuildForwardIndex()), cached like
+  /// BackwardIndex and built only when a forward join first asks for it.
+  std::shared_ptr<const IntervalIndex> ForwardIndex() const;
 
   /// {size, Hash64} of SerializeCompressedTableColumnar(*this), computed on
   /// first use and cached like BackwardIndex (copies carry it, mutations
@@ -227,13 +245,16 @@ class CompressedTable {
   std::vector<int64_t> hi_;   // num_rows * stride()
   std::vector<int32_t> ref_;  // num_rows * in_ndim
 
-  /// Drops the cached index and digest (every mutation but AppendRowRaw).
+  /// Drops the cached indexes and digest (every mutation but
+  /// AppendRowRaw).
   void InvalidateCaches();
 
-  /// Lazily-built backward-join index and columnar digest. Guarded by
-  /// index_mu_; immutable once published, so copies may share them.
+  /// Lazily-built join indexes (one per direction) and columnar digest.
+  /// Guarded by index_mu_; immutable once published, so copies may share
+  /// them.
   mutable std::mutex index_mu_;
-  mutable std::shared_ptr<const IntervalIndex> index_;
+  mutable std::shared_ptr<const IntervalIndex> backward_index_;
+  mutable std::shared_ptr<const IntervalIndex> forward_index_;
   mutable std::optional<ColumnarDigest> digest_;
 };
 

@@ -7,7 +7,8 @@
 namespace dslog {
 
 IntervalIndex::IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
-                             int64_t stride) {
+                             int64_t stride, int32_t attr)
+    : attr_(attr) {
   if (n <= 0) return;
   const size_t count = static_cast<size_t>(n);
   // Gather into flat items first so the sort runs over contiguous memory

@@ -2,9 +2,14 @@
 // binary tree of subtree max-hi bounds, so a probe enumerates exactly the
 // overlapping rows in O(log n + hits) instead of scanning the table. This
 // is the per-table index behind the indexed θ-join kernels (§V.B step 1):
-// the sort is paid once per table and shared by every query against it,
-// not once per join. Every θ-join probe enumerates it through the tree
-// descent; emissions come in nondecreasing-lo order.
+// the sort is paid once per table and direction and shared by every query
+// against it, not once per join. Every θ-join probe enumerates it through
+// the tree descent; emissions come in nondecreasing-lo order.
+//
+// An index covers one attribute of the probe side, which it records as
+// attr(): the kernels probe q[attr()] and test every other attribute per
+// candidate. CompressedTableView::Build{Backward,Forward}Index pick the
+// attribute a point probe is expected to hit least.
 //
 // The index stores row *ids*, not bytes: it works identically over an
 // owned CompressedTable arena and over a CompressedTableView borrowed from
@@ -26,11 +31,14 @@ class IntervalIndex {
 
   /// Builds over `n` intervals read from strided columns: interval r is
   /// [lo[r * stride], hi[r * stride]]. Pass stride = 1 for a dense array.
+  /// `attr` names the probe-side attribute those intervals belong to.
   IntervalIndex(const int64_t* lo, const int64_t* hi, int64_t n,
-                int64_t stride);
+                int64_t stride, int32_t attr = 0);
 
   int64_t size() const { return static_cast<int64_t>(lo_.size()); }
   bool empty() const { return lo_.empty(); }
+  /// The attribute this index covers: a probe passes q[attr()].
+  int32_t attr() const { return attr_; }
 
   /// Approximate resident bytes (decode-cache charge accounting).
   int64_t bytes() const {
@@ -74,6 +82,7 @@ class IntervalIndex {
   /// Heap-ordered max-hi per node; leaves padded with INT64_MIN.
   std::vector<int64_t> tree_;
   size_t leaf_count_ = 0;  // power-of-two leaf span of the tree
+  int32_t attr_ = 0;
 };
 
 }  // namespace dslog

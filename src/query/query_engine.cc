@@ -23,7 +23,8 @@ namespace {
 BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
                 bool merge, JoinCounters* counters) {
   if (hop.forward)
-    return ForwardThetaJoin(current, hop.table, num_threads, merge, counters);
+    return ForwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
+                            counters);
   return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
                            counters);
 }

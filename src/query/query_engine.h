@@ -27,19 +27,20 @@ namespace dslog {
 struct QueryHop {
   QueryHop() = default;
   /// Hop over an owned table: captures its view and shares its cached
-  /// backward index. The table itself must outlive the hop (as before);
-  /// the pin keeps only the index alive.
+  /// index for the hop's direction (ForwardIndex or BackwardIndex). The
+  /// table itself must outlive the hop (as before); the pin keeps only the
+  /// index alive.
   QueryHop(const CompressedTable* table, bool forward)
       : table(table->view()), forward(forward) {
-    auto idx = table->BackwardIndex();
+    auto idx = forward ? table->ForwardIndex() : table->BackwardIndex();
     index = idx.get();
     pin = std::move(idx);
   }
 
   CompressedTableView table;
   bool forward = false;
-  /// Sorted interval index over the table's output attribute 0 (backward
-  /// hops probe it instead of scanning). nullptr = build ephemerally.
+  /// The table's interval index for this hop's direction (the join probes
+  /// it instead of scanning). nullptr = build ephemerally per join.
   const IntervalIndex* index = nullptr;
   /// Keeps the view's backing storage (and `index`) alive for the query:
   /// hops over lazily-decoded LogStore segments pin the cache entry here

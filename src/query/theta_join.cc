@@ -130,16 +130,17 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
   BoxTable result(m);
   std::vector<int64_t> t_lo(static_cast<size_t>(l)), t_hi(static_cast<size_t>(l));
   std::vector<Interval> out_box(static_cast<size_t>(m));
+  const size_t probe_attr = static_cast<size_t>(index.attr());
   LocalJoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
-    index.ForEachOverlapping(q[0], [&](int64_t r) {
+    index.ForEachOverlapping(q[probe_attr], [&](int64_t r) {
       ++local.rows_scanned;
       const int64_t* row_lo = t.lo + r * w;
       const int64_t* row_hi = t.hi + r * w;
-      // Step 1: joint intersection over the output attributes (attribute 0
-      // overlaps by construction of the index probe). Branchless: every
+      // Step 1: joint intersection over the output attributes (the index's
+      // attribute overlaps by construction of the probe). Branchless: every
       // attribute folds into `hit`, no early exit in the loop body.
       bool hit = true;
       for (int32_t k = 0; k < l; ++k) {
@@ -171,7 +172,7 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
 }
 
 // Single-threaded forward kernel over the columns, probing `index` (built
-// over the rows' implied absolute input-attribute-0 intervals).
+// over the rows' implied absolute intervals on one input attribute).
 BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
                        const IntervalIndex& index, JoinCounters* counters) {
   const int32_t l = t.out_ndim;
@@ -180,11 +181,12 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
   BoxTable result(l);
   std::vector<Interval> ti(static_cast<size_t>(m));
   std::vector<Interval> out_box(static_cast<size_t>(l));
+  const size_t probe_attr = static_cast<size_t>(index.attr());
   LocalJoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
-    index.ForEachOverlapping(q[0], [&](int64_t r) {
+    index.ForEachOverlapping(q[probe_attr], [&](int64_t r) {
       ++local.rows_scanned;
       const int64_t* row_lo = t.lo + r * w;
       const int64_t* row_hi = t.hi + r * w;
@@ -257,38 +259,28 @@ BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query,
-                          const CompressedTableView& table, int num_threads,
+                          const CompressedTableView& table,
+                          const IntervalIndex* index, int num_threads,
                           bool merge_result, JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.in_ndim) << "forward query arity mismatch";
-  // Implied absolute input-attribute-0 intervals drive the probe; they
-  // depend on de-relativization, so the index is per call (its build cost
-  // matches the sort the old sweep paid every call).
-  const int32_t l = table.out_ndim;
-  const int64_t w = table.stride();
-  std::vector<int64_t> lo0(static_cast<size_t>(table.num_rows));
-  std::vector<int64_t> hi0(static_cast<size_t>(table.num_rows));
-  for (int64_t r = 0; r < table.num_rows; ++r) {
-    const int64_t* row_lo = table.lo + r * w;
-    const int64_t* row_hi = table.hi + r * w;
-    const int32_t rf = table.ref[r * table.in_ndim];
-    const int64_t base_lo = rf >= 0 ? row_lo[rf] : 0;
-    const int64_t base_hi = rf >= 0 ? row_hi[rf] : 0;
-    lo0[static_cast<size_t>(r)] = base_lo + row_lo[l];
-    hi0[static_cast<size_t>(r)] = base_hi + row_hi[l];
+  IntervalIndex ephemeral;
+  if (index == nullptr) {
+    ephemeral = table.BuildForwardIndex();
+    index = &ephemeral;
   }
-  IntervalIndex index(lo0.data(), hi0.data(), table.num_rows, 1);
   return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
                          counters,
-                         [&table, &index, counters](const BoxTable& q) {
-                           return ForwardKernel(q, table, index, counters);
+                         [&table, index, counters](const BoxTable& q) {
+                           return ForwardKernel(q, table, *index, counters);
                          });
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads, bool merge_result,
                           JoinCounters* counters) {
-  return ForwardThetaJoin(query, table.view(), num_threads, merge_result,
-                          counters);
+  std::shared_ptr<const IntervalIndex> index = table.ForwardIndex();
+  return ForwardThetaJoin(query, table.view(), index.get(), num_threads,
+                          merge_result, counters);
 }
 
 }  // namespace dslog

@@ -4,11 +4,13 @@
 //
 // All kernels scan the flat columnar layout through a CompressedTableView,
 // so they run identically over an owned table and over bytes borrowed from
-// an mmap'd v2 LogStore segment (true in-situ). The backward join is
-// index-backed: a per-table sorted interval index over output attribute 0
-// (provrc/interval_index.h) prunes candidate rows to the probe's overlap
-// set instead of scanning — pass the table's cached index, or let the
-// kernel build an ephemeral one (equivalent to the old per-query sweep).
+// an mmap'd v2 LogStore segment (true in-situ). Both joins are
+// index-backed: a per-table, per-direction sorted interval index
+// (provrc/interval_index.h) over the attribute a point probe hits least
+// prunes candidate rows to the probe's overlap set instead of scanning.
+// Pass the table's cached index for the join's direction
+// (CompressedTable::BackwardIndex / ForwardIndex, or the one a LogStore
+// View pins), or nullptr to have the kernel build an ephemeral one.
 //
 // Backward joins take a query over the table's *output* attributes (which
 // are absolute) and return the linked input cells via rel_back.
@@ -67,8 +69,8 @@ struct JoinCounters {
 // reproduces the raw concatenation exactly (the caller may Merge itself).
 
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
-/// `index` is the table's out-attr-0 interval index; pass nullptr to have
-/// the kernel build an ephemeral one for this call.
+/// `index` is the table's backward index (BuildBackwardIndex); pass nullptr
+/// to have the kernel build an ephemeral one for this call.
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,
                            const IntervalIndex* index = nullptr,
@@ -82,14 +84,18 @@ BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                            JoinCounters* counters = nullptr);
 
 /// Forward θ-join evaluated directly on the backward representation:
-/// query boxes over input attributes -> output-cell boxes. The probe
-/// column (implied absolute input attribute 0) depends on per-row
-/// de-relativization, so the index is built per call.
+/// query boxes over input attributes -> output-cell boxes. `index` is the
+/// table's forward index (BuildForwardIndex, over the rows' implied
+/// absolute input intervals); pass nullptr to have the kernel build an
+/// ephemeral one for this call.
 BoxTable ForwardThetaJoin(const BoxTable& query,
                           const CompressedTableView& table,
+                          const IntervalIndex* index = nullptr,
                           int num_threads = 1, bool merge_result = false,
                           JoinCounters* counters = nullptr);
 
+/// Convenience overload over an owned table: uses (and lazily builds) the
+/// table's cached forward index.
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
                           int num_threads = 1, bool merge_result = false,
                           JoinCounters* counters = nullptr);

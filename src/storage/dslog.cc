@@ -349,13 +349,16 @@ Result<bool> DSLog::FindEdgeCopy(const std::string& in_arr,
 }
 
 Result<LogStore::PinnedTable> DSLog::ResolveEdgeView(
-    const Edge& edge, const LogStore* store, LogStore::ViewEvent* ev) const {
+    const Edge& edge, bool forward, const LogStore* store,
+    LogStore::ViewEvent* ev) const {
   if (edge.segment < 0) {
     // Resident edge: view the pinned table's arenas. The pin carries the
-    // lazily-built index so eviction semantics match lazy edges.
+    // lazily-built index of the hop's direction so eviction semantics
+    // match lazy edges.
     LogStore::PinnedTable pinned;
     pinned.view = edge.table->view();
-    auto index = edge.table->BackwardIndex();
+    auto index =
+        forward ? edge.table->ForwardIndex() : edge.table->BackwardIndex();
     pinned.index = index.get();
     pinned.pin = std::move(index);
     return pinned;
@@ -363,7 +366,7 @@ Result<LogStore::PinnedTable> DSLog::ResolveEdgeView(
   if (store == nullptr)
     return Status::Internal("lazy edge without a backing store: " +
                             edge.in_arr + " -> " + edge.out_arr);
-  return store->View(static_cast<size_t>(edge.segment), ev);
+  return store->View(static_cast<size_t>(edge.segment), forward, ev);
 }
 
 const CompressedTable* DSLog::FindEdge(const std::string& in_arr,
@@ -434,7 +437,8 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     }
     LogStore::ViewEvent ev;
     DSLOG_ASSIGN_OR_RETURN(
-        auto pinned, ResolveEdgeView(edge, store.get(), prof ? &ev : nullptr));
+        auto pinned,
+        ResolveEdgeView(edge, forward, store.get(), prof ? &ev : nullptr));
     const int enter_ndim =
         forward ? pinned.view.in_ndim : pinned.view.out_ndim;
     if (enter_ndim != frontier_ndim)

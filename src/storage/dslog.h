@@ -254,13 +254,13 @@ class DSLog {
                             const std::string& out_arr, const LogStore* store,
                             Edge* out) const;
 
-  /// Resolves a copied edge into a query hop's view + index + pin. Takes
-  /// no catalog locks: resident edges view their pinned table, lazy edges
-  /// resolve through `store` (which synchronizes internally). `ev`, when
-  /// non-null, receives how a lazy edge's segment resolved (untouched for
-  /// resident edges).
+  /// Resolves a copied edge into a query hop's view + index + pin, with
+  /// the index of the hop's direction (`forward`). Takes no catalog locks:
+  /// resident edges view their pinned table, lazy edges resolve through
+  /// `store` (which synchronizes internally). `ev`, when non-null, receives
+  /// how a lazy edge's segment resolved (untouched for resident edges).
   Result<LogStore::PinnedTable> ResolveEdgeView(
-      const Edge& edge, const LogStore* store,
+      const Edge& edge, bool forward, const LogStore* store,
       LogStore::ViewEvent* ev = nullptr) const;
 
   /// Commits edges into their shards, one writer-lock acquisition per

@@ -421,9 +421,9 @@ Result<int64_t> LogStore::FindSegmentId(std::string_view in_arr,
   return -1;
 }
 
-Result<std::shared_ptr<const LogStore::ResolvedSegment>>
-LogStore::ResolveSegment(size_t id, int64_t* charge, int64_t* decompressed,
-                         bool* borrowed, int64_t* rows_copied) const {
+Result<std::shared_ptr<LogStore::ResolvedSegment>> LogStore::ResolveSegment(
+    size_t id, int64_t* charge, int64_t* decompressed, bool* borrowed,
+    int64_t* rows_copied) const {
   const SegmentInfo seg = segment_info(id);
   if (seg.offset < kHeaderSize || seg.offset > file_.size() ||
       seg.length > file_.size() - seg.offset)
@@ -443,12 +443,11 @@ LogStore::ResolveSegment(size_t id, int64_t* charge, int64_t* decompressed,
     if (view.ok()) {
       // Zero-copy: the view aliases the mapping, which this LogStore (and
       // therefore any pin holding the ResolvedSegment via the DSLog that
-      // owns the store) keeps alive. Only the index is built.
+      // owns the store) keeps alive. Nothing is built here.
       resolved->view = view.value();
-      resolved->index = resolved->view.BuildBackwardIndex();
       *borrowed = true;
-      *charge = 64 + resolved->index.bytes();
-      return std::shared_ptr<const ResolvedSegment>(std::move(resolved));
+      *charge = 64;
+      return resolved;
     }
     if (view.status().code() != StatusCode::kNotSupported)
       return view.status().WithMessagePrefix("logstore segment " + seg.in_arr +
@@ -471,18 +470,28 @@ LogStore::ResolveSegment(size_t id, int64_t* charge, int64_t* decompressed,
         std::move(decoded).ValueOrDie());
   }
   resolved->view = resolved->table->view();
-  resolved->index = resolved->view.BuildBackwardIndex();
   *rows_copied = resolved->table->num_rows();
-  *charge = ApproxDecodedBytes(*resolved->table) + resolved->index.bytes();
-  return std::shared_ptr<const ResolvedSegment>(std::move(resolved));
+  *charge = ApproxDecodedBytes(*resolved->table);
+  return resolved;
 }
 
-Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
+Result<LogStore::PinnedTable> LogStore::View(size_t id, bool forward,
+                                             ViewEvent* ev) const {
+  return Acquire(id, forward ? kForwardIndex : kBackwardIndex, ev);
+}
+
+Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
+                                                ViewEvent* ev) const {
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
   LogStoreMetrics& lsm = LogStoreMetrics::Get();
   CacheShard& shard = ShardFor(id);
   if (ev != nullptr) ev->segment_bytes = segment_length(id);
+  const auto pinned = [dir](const std::shared_ptr<ResolvedSegment>& seg) {
+    return PinnedTable{seg->view,
+                       dir == kNoIndex ? nullptr : seg->index[dir].get(), seg};
+  };
+  std::shared_ptr<ResolvedSegment> seg;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.cache.find(id);
@@ -491,65 +500,95 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
       BumpRelaxed(shard.stats.cache_hits);
       lsm.cache_hits.Increment();
       if (ev != nullptr) ev->cache_hit = true;
-      const auto& seg = it->second.segment;
-      return PinnedTable{seg->view, &seg->index, seg};
+      seg = it->second.segment;
+      if (dir == kNoIndex || seg->index[dir] != nullptr) return pinned(seg);
+    } else {
+      BumpRelaxed(shard.stats.cache_misses);
+      lsm.cache_misses.Increment();
     }
-    BumpRelaxed(shard.stats.cache_misses);
-    lsm.cache_misses.Increment();
   }
 
-  // Resolve outside the shard lock so cold segments decode in parallel —
-  // even two segments of the same shard only serialize on the map update.
-  // One span + two clock reads per cold resolve: amortized into the
-  // checksum + decode + index build it brackets.
+  // Resolve and build the requested index outside the shard lock, so cold
+  // segments decode in parallel — even two segments of the same shard only
+  // serialize on the map update. One span + two clock reads per resolve:
+  // amortized into the checksum + decode + index build they bracket.
   trace::Span resolve_span("LogStore.Resolve", "storage");
   resolve_span.Arg("segment", static_cast<int64_t>(id));
   WallTimer resolve_timer;
+  const bool cold = seg == nullptr;
   int64_t charge = 0, decompressed = 0, rows_copied = 0;
   bool borrowed = false;
-  DSLOG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ResolvedSegment> resolved,
-      ResolveSegment(id, &charge, &decompressed, &borrowed, &rows_copied));
+  if (cold) {
+    DSLOG_ASSIGN_OR_RETURN(seg, ResolveSegment(id, &charge, &decompressed,
+                                               &borrowed, &rows_copied));
+  }
+  // The index keeps row ids and copied bounds, never pointers into the
+  // view, so one built over this resolution serves any resolution of the
+  // same segment bytes (the resolve race below may swap `seg`).
+  std::unique_ptr<const IntervalIndex> index;
+  if (dir != kNoIndex)
+    index = std::make_unique<const IntervalIndex>(
+        dir == kForwardIndex ? seg->view.BuildForwardIndex()
+                             : seg->view.BuildBackwardIndex());
   const int64_t resolve_us =
       static_cast<int64_t>(resolve_timer.ElapsedSeconds() * 1e6);
   resolve_span.Arg("borrowed", borrowed ? 1 : 0);
   resolve_span.Arg("rows_materialized", rows_copied);
   lsm.resolve_us.Record(resolve_us);
-  lsm.decodes.Increment();
-  if (borrowed)
-    lsm.borrows.Increment();
-  else
-    lsm.rows_materialized.Add(rows_copied);
-  if (decompressed > 0) lsm.bytes_decompressed.Add(decompressed);
-  if (ev != nullptr) {
-    ev->borrowed = borrowed;
-    ev->bytes_decompressed = decompressed;
-    ev->rows_materialized = rows_copied;
-    ev->resolve_us = resolve_us;
+  if (ev != nullptr) ev->resolve_us = resolve_us;
+  if (cold) {
+    lsm.decodes.Increment();
+    if (borrowed)
+      lsm.borrows.Increment();
+    else
+      lsm.rows_materialized.Add(rows_copied);
+    if (decompressed > 0) lsm.bytes_decompressed.Add(decompressed);
+    if (ev != nullptr) {
+      ev->borrowed = borrowed;
+      ev->bytes_decompressed = decompressed;
+      ev->rows_materialized = rows_copied;
+    }
   }
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  BumpRelaxed(shard.stats.decode_count);
-  BumpRelaxed(shard.stats.bytes_decompressed, decompressed);
-  BumpRelaxed(shard.stats.rows_materialized, rows_copied);
-  if (borrowed)
-    BumpRelaxed(shard.stats.segments_borrowed);
-  else
-    BumpRelaxed(shard.stats.tables_materialized);
-  if (!touched_[id]) {  // id's shard lock guards touched_[id]; see decl
-    touched_[id] = 1;
-    BumpRelaxed(shard.stats.segments_touched);
-  }
   auto it = shard.cache.find(id);
-  if (it != shard.cache.end()) {  // lost the resolve race
-    const auto& seg = it->second.segment;
-    return PinnedTable{seg->view, &seg->index, seg};
+  if (cold) {
+    BumpRelaxed(shard.stats.decode_count);
+    BumpRelaxed(shard.stats.bytes_decompressed, decompressed);
+    BumpRelaxed(shard.stats.rows_materialized, rows_copied);
+    if (borrowed)
+      BumpRelaxed(shard.stats.segments_borrowed);
+    else
+      BumpRelaxed(shard.stats.tables_materialized);
+    if (!touched_[id]) {  // id's shard lock guards touched_[id]; see decl
+      touched_[id] = 1;
+      BumpRelaxed(shard.stats.segments_touched);
+    }
+    if (it != shard.cache.end()) {  // lost the resolve race
+      seg = it->second.segment;
+    } else {
+      shard.lru.push_front(id);
+      it = shard.cache.emplace(id, CacheEntry{seg, charge, shard.lru.begin()})
+               .first;
+      shard.bytes += charge;
+    }
   }
-  shard.lru.push_front(id);
-  shard.cache[id] = CacheEntry{resolved, charge, shard.lru.begin()};
-  shard.bytes += charge;
-  // Evict past the shard's budget slice, never the entry just inserted (a
+  if (index != nullptr && seg->index[dir] == nullptr) {
+    BumpRelaxed(dir == kForwardIndex ? shard.stats.forward_indexes_built
+                                     : shard.stats.backward_indexes_built);
+    const int64_t index_bytes = index->bytes();
+    seg->index[dir] = std::move(index);
+    // An entry evicted while its index was being built keeps the index on
+    // the pinned segment only; the cache charges what it holds.
+    if (it != shard.cache.end() && it->second.segment == seg) {
+      it->second.charge += index_bytes;
+      shard.bytes += index_bytes;
+    }
+  }
+  // Evict past the shard's budget slice, never the entry just served (a
   // single segment larger than the whole budget must still be servable).
+  if (it != shard.cache.end() && it->second.segment == seg)
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
     size_t victim = shard.lru.back();
     shard.lru.pop_back();
@@ -559,14 +598,14 @@ Result<LogStore::PinnedTable> LogStore::View(size_t id, ViewEvent* ev) const {
     BumpRelaxed(shard.stats.evictions);
     lsm.evictions.Increment();
   }
-  return PinnedTable{resolved->view, &resolved->index, resolved};
+  return pinned(seg);
 }
 
 Result<std::shared_ptr<const CompressedTable>> LogStore::Table(
     size_t id) const {
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
-  DSLOG_ASSIGN_OR_RETURN(PinnedTable pinned, View(id));
+  DSLOG_ASSIGN_OR_RETURN(PinnedTable pinned, Acquire(id, kNoIndex, nullptr));
   // v1 (and unaligned-v2) resolutions already own a table: alias it so the
   // returned pointer shares the cache entry's lifetime.
   auto resolved =
@@ -602,6 +641,9 @@ LogStoreStats LogStore::stats() const {
     out.cache_hits += ld(s.cache_hits);
     out.cache_misses += ld(s.cache_misses);
     out.evictions += ld(s.evictions);
+    out.backward_indexes_built += ld(s.backward_indexes_built);
+    out.forward_indexes_built += ld(s.forward_indexes_built);
+    out.cache_bytes += shard.bytes;
   }
   out.segment_count = static_cast<int64_t>(num_segments_);
   return out;

@@ -34,8 +34,10 @@
 // parses only the footer; segments resolve lazily on first touch through a
 // size-bounded LRU cache. A v1 segment decompresses into an owned table;
 // a v2 segment is *borrowed*: the cache entry holds a CompressedTableView
-// aliasing the mapped bytes plus the backward-join interval index — zero
-// bytes decompressed, zero rows materialized (LogStoreStats counts both).
+// aliasing the mapped bytes — zero bytes decompressed, zero rows
+// materialized (LogStoreStats counts both). Each entry also holds up to one
+// θ-join interval index per direction, built on the first View() in that
+// direction and charged to the entry when it is added.
 // Segment checksums are verified at first touch (and the footer checksum
 // at open), turning any flipped byte or truncation into Status::Corruption
 // instead of UB. The footer checksum is the wide 8-byte-lane hash (hash.h
@@ -52,8 +54,8 @@
 // count), each with its own mutex, LRU list, and byte budget, so readers
 // resolving different segments never contend on one cache lock.
 // Decompression/index builds run outside every lock (two threads racing on
-// the same cold segment may both resolve it — both results are valid and
-// one wins the cache slot).
+// the same cold segment or index may both build it — both results are
+// valid and one wins the cache slot).
 //
 // Writing goes through LogStoreWriter: Create() builds a fresh file and
 // commits it atomically (temp file + rename) in Finish(); OpenForAppend()
@@ -122,9 +124,9 @@ enum class SegmentLayout : uint32_t {
 
 struct LogStoreOptions {
   /// Budget for resolved segments kept resident (approximate bytes: decoded
-  /// tables for v1, interval indexes for borrowed v2 views). Least-recently-
-  /// used segments are evicted past it; in-flight queries keep their pinned
-  /// entries alive regardless.
+  /// tables for v1, plus the interval indexes each entry has built).
+  /// Least-recently-used segments are evicted past it; in-flight queries
+  /// keep their pinned entries alive regardless.
   int64_t cache_capacity_bytes = 64ll << 20;
   /// Verify the per-segment FNV-64 checksum before first use of a segment.
   bool verify_checksums = true;
@@ -168,6 +170,12 @@ struct LogStoreStats {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t evictions = 0;
+  /// Interval indexes built per direction (one per resolution that was
+  /// queried in that direction; a direction never queried builds none).
+  int64_t backward_indexes_built = 0;
+  int64_t forward_indexes_built = 0;
+  /// Bytes the decode cache charges for its resident entries right now.
+  int64_t cache_bytes = 0;
 };
 
 /// Read side: a mapped log file serving lazily-resolved edge tables.
@@ -184,9 +192,9 @@ class LogStore {
     int64_t row_count = -1;  // -1 = unknown
   };
 
-  /// A resolved segment: the scan view, its backward-join index, and a pin
-  /// keeping both (and any owned arena behind the view) alive across cache
-  /// evictions for as long as the caller holds it.
+  /// A resolved segment: the scan view, the join index of the requested
+  /// direction, and a pin keeping both (and any owned arena behind the
+  /// view) alive across cache evictions for as long as the caller holds it.
   struct PinnedTable {
     CompressedTableView view;
     const IntervalIndex* index = nullptr;
@@ -254,11 +262,15 @@ class LogStore {
     int64_t resolve_us = 0;            // checksum + decode + index build
   };
 
-  /// The scan view of segment `id`, resolving on first touch (gzip decode
-  /// for v1, zero-copy borrow for v2) and serving repeats from the LRU
-  /// cache. This is the query path. `ev`, when non-null, receives how this
-  /// call resolved (profiled queries thread it into their HopProfile).
-  Result<PinnedTable> View(size_t id, ViewEvent* ev = nullptr) const;
+  /// The scan view of segment `id` with its join index for a `forward` or
+  /// backward hop, resolving on first touch (gzip decode for v1, zero-copy
+  /// borrow for v2) and serving repeats from the LRU cache. Builds that
+  /// direction's index the first time the entry is asked for it, outside
+  /// the shard lock. This is the query path. `ev`, when non-null, receives
+  /// how this call resolved (profiled queries thread it into their
+  /// HopProfile).
+  Result<PinnedTable> View(size_t id, bool forward,
+                           ViewEvent* ev = nullptr) const;
 
   /// The segment as an owned CompressedTable (bench/test hook). v1 serves
   /// the cached decode; v2 materializes a fresh owned copy per call —
@@ -279,26 +291,40 @@ class LogStore {
  private:
   LogStore() = default;
 
+  /// Slots of ResolvedSegment::index, and Acquire's "no index" request.
+  static constexpr int kBackwardIndex = 0;
+  static constexpr int kForwardIndex = 1;
+  static constexpr int kNoIndex = -1;
+
   /// One cached resolution: `table` owns the arenas for v1 decodes (null
-  /// for v2 borrows, whose view aliases the mapping), `index` is always
-  /// built. Handed out via shared_ptr so pins survive eviction.
+  /// for v2 borrows, whose view aliases the mapping). `index` holds the
+  /// join index of each direction once a View() in that direction built
+  /// it; a slot is written and read only under the owning shard's mutex
+  /// and never changes once set. Handed out via shared_ptr so pins
+  /// survive eviction.
   struct ResolvedSegment {
     std::shared_ptr<const CompressedTable> table;
     CompressedTableView view;
-    IntervalIndex index;
+    std::unique_ptr<const IntervalIndex> index[2];
   };
 
+  /// `charge` is the resolution's resident bytes plus every index built
+  /// into `segment` while it was cached.
   struct CacheEntry {
-    std::shared_ptr<const ResolvedSegment> segment;
+    std::shared_ptr<ResolvedSegment> segment;
     int64_t charge = 0;
     std::list<size_t>::iterator lru_it;
   };
 
   /// Checksum-verifies (first touch) and resolves segment bytes into a
-  /// ResolvedSegment. Runs outside the cache lock.
-  Result<std::shared_ptr<const ResolvedSegment>> ResolveSegment(
+  /// ResolvedSegment with no index. Runs outside the cache lock.
+  Result<std::shared_ptr<ResolvedSegment>> ResolveSegment(
       size_t id, int64_t* charge, int64_t* decompressed, bool* borrowed,
       int64_t* rows_copied) const;
+
+  /// View() and Table(): the cached resolution of segment `id` with index
+  /// slot `dir` built (kNoIndex: no index, PinnedTable::index is null).
+  Result<PinnedTable> Acquire(size_t id, int dir, ViewEvent* ev) const;
 
   /// Live per-shard counters: relaxed atomics *written only under the
   /// owning shard's mutex* (so the per-shard invariants documented on
@@ -316,6 +342,8 @@ class LogStore {
     std::atomic<int64_t> cache_hits{0};
     std::atomic<int64_t> cache_misses{0};
     std::atomic<int64_t> evictions{0};
+    std::atomic<int64_t> backward_indexes_built{0};
+    std::atomic<int64_t> forward_indexes_built{0};
   };
 
   /// One lock stripe of the decode cache: segments with

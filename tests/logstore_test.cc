@@ -351,6 +351,76 @@ TEST(LogStoreTest, TinyCacheEvictsButStaysCorrect) {
   EXPECT_GT(stats.decode_count, stats.segments_touched);
 }
 
+TEST(LogStoreTest, JoinIndexesBuiltPerDirectionAndCharged) {
+  DSLog log;
+  BuildChain(&log, 0, 4, 32);  // four identical identity segments
+  for (SegmentLayout layout :
+       {SegmentLayout::kColumnar, SegmentLayout::kProvRcGzip}) {
+    const std::string path = TestPath("index_per_direction.dsl");
+    ASSERT_TRUE(log.SaveLogStore(path, layout).ok());
+    LogStoreOptions roomy;
+    roomy.cache_shards = 1;
+    auto opened = LogStore::Open(path, roomy);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const LogStore& store = *opened.value();
+
+    // A forward hop builds the forward index only, and repeats reuse it.
+    auto fwd = store.View(0, /*forward=*/true);
+    ASSERT_TRUE(fwd.ok());
+    ASSERT_NE(fwd.value().index, nullptr);
+    LogStoreStats stats = store.stats();
+    EXPECT_EQ(stats.forward_indexes_built, 1);
+    EXPECT_EQ(stats.backward_indexes_built, 0);
+    const int64_t forward_charge = stats.cache_bytes;
+    EXPECT_GE(forward_charge, fwd.value().index->bytes());
+    EXPECT_EQ(store.View(0, true).value().index, fwd.value().index);
+    EXPECT_EQ(store.stats().forward_indexes_built, 1);
+
+    // A backward hop on the cached entry adds the backward index, and the
+    // entry's charge grows by exactly that index's bytes.
+    LogStore::ViewEvent ev;
+    auto bwd = store.View(0, /*forward=*/false, &ev);
+    ASSERT_TRUE(bwd.ok());
+    EXPECT_TRUE(ev.cache_hit);
+    ASSERT_NE(bwd.value().index, nullptr);
+    EXPECT_NE(bwd.value().index, fwd.value().index);
+    stats = store.stats();
+    EXPECT_EQ(stats.forward_indexes_built, 1);
+    EXPECT_EQ(stats.backward_indexes_built, 1);
+    EXPECT_EQ(stats.decode_count, 1);
+    const int64_t full_charge = stats.cache_bytes;
+    EXPECT_EQ(full_charge, forward_charge + bwd.value().index->bytes());
+
+    // A budget of one fully indexed entry: every segment's second index
+    // fills it, the next segment evicts, and the charge never exceeds it.
+    LogStoreOptions tiny = roomy;
+    tiny.cache_capacity_bytes = full_charge;
+    auto tiny_opened = LogStore::Open(path, tiny);
+    ASSERT_TRUE(tiny_opened.ok());
+    const LogStore& small = *tiny_opened.value();
+    for (size_t id = 0; id < small.segment_count(); ++id) {
+      for (bool forward : {true, false}) {
+        ASSERT_TRUE(small.View(id, forward).ok());
+        EXPECT_LE(small.stats().cache_bytes, full_charge)
+            << "segment " << id << " forward=" << forward;
+      }
+    }
+    stats = small.stats();
+    EXPECT_EQ(stats.evictions, 3);
+    EXPECT_EQ(stats.forward_indexes_built, 4);
+    EXPECT_EQ(stats.backward_indexes_built, 4);
+    EXPECT_EQ(stats.cache_bytes, full_charge);
+
+    // Re-resolving an evicted segment for a backward hop builds no
+    // forward index.
+    ASSERT_TRUE(small.View(0, /*forward=*/false).ok());
+    stats = small.stats();
+    EXPECT_EQ(stats.backward_indexes_built, 5);
+    EXPECT_EQ(stats.forward_indexes_built, 4);
+    EXPECT_LE(stats.cache_bytes, full_charge);
+  }
+}
+
 TEST(LogStoreTest, FindEdgeDecodesLazilyAndStaysValid) {
   DSLog log;
   BuildChain(&log, 0, 3, 8);
@@ -830,7 +900,7 @@ TEST(LogStoreTest, V3FooterCarriesSegmentStats) {
       EXPECT_EQ(seg.row_count, stored->num_rows());
       EXPECT_EQ(seg.layout, layout);
       EXPECT_EQ(store.value()->segment_layout(id), layout);
-      auto pinned = store.value()->View(id);
+      auto pinned = store.value()->View(id, /*forward=*/false);
       ASSERT_TRUE(pinned.ok());
       EXPECT_EQ(pinned.value().view.num_rows, seg.row_count);
     }
@@ -1095,7 +1165,8 @@ TEST(LogStoreConcurrencyTest, StatsSnapshotsAreConsistentUnderLoad) {
       for (int i = 0; i < kViewsPerThread; ++i) {
         const size_t id = static_cast<size_t>(rng.Uniform(
             static_cast<uint64_t>(num_segments)));
-        if (!store.View(id).ok()) ++view_failures;
+        const bool forward = rng.Uniform(2) == 1;
+        if (!store.View(id, forward).ok()) ++view_failures;
       }
     });
   }

@@ -293,6 +293,101 @@ TEST(ThetaJoinTest, ForwardClampsToRowBound) {
   EXPECT_EQ(result.Box(0)[0], (Interval{5, 6}));
 }
 
+// ------------------------------------------------------ probe attribute --
+
+// Identity lineage over an n x n array stored as column stripes: row r
+// covers out (*, r) <- in (*, r). Every row spans all of attribute 0 and
+// one cell of attribute 1, on both sides.
+CompressedTable ColumnStripeTable(int64_t n) {
+  CompressedTable table({n, n}, {n, n});
+  CompressedRow row;
+  row.in = {InputCell::Relative(0, {0, 0}), InputCell::Relative(1, {0, 0})};
+  for (int64_t r = 0; r < n; ++r) {
+    row.out = {{0, n - 1}, {r, r}};
+    table.AddRow(row);
+  }
+  return table;
+}
+
+TEST(ThetaJoinTest, IndexProbesTheLeastHitAttribute) {
+  constexpr int64_t n = 48;
+  const CompressedTable table = ColumnStripeTable(n);
+  EXPECT_EQ(table.BackwardIndex()->attr(), 1);
+  EXPECT_EQ(table.ForwardIndex()->attr(), 1);
+
+  // An attribute-0 index, as every table had before the choice existed.
+  // Both directions' attribute-0 intervals are [0, n - 1] on every row.
+  std::vector<int64_t> lo0(static_cast<size_t>(n), 0);
+  std::vector<int64_t> hi0(static_cast<size_t>(n), n - 1);
+  const IntervalIndex index0(lo0.data(), hi0.data(), n, 1, 0);
+
+  Rng rng(21);
+  BoxTable q(2);
+  for (int i = 0; i < 64; ++i) {
+    const Interval box[2] = {Interval::Point(rng.UniformRange(0, n - 1)),
+                             Interval::Point(rng.UniformRange(0, n - 1))};
+    q.AddBox(box);
+  }
+  BoxTable expected = q;
+  expected.Merge();
+
+  for (bool forward : {false, true}) {
+    JoinCounters chosen, attr0;
+    BoxTable got =
+        forward ? ForwardThetaJoin(q, table, 1, true, &chosen)
+                : BackwardThetaJoin(q, table, 1, true, &chosen);
+    BoxTable old =
+        forward ? ForwardThetaJoin(q, table.view(), &index0, 1, true, &attr0)
+                : BackwardThetaJoin(q, table.view(), &index0, 1, true, &attr0);
+    ExpectIdenticalBoxes(got, expected, forward ? "forward" : "backward");
+    ExpectIdenticalBoxes(old, expected, forward ? "forward/0" : "backward/0");
+    EXPECT_EQ(chosen.probes.load(), q.num_boxes());
+    EXPECT_LE(chosen.rows_scanned.load(), 2 * chosen.probes.load())
+        << (forward ? "forward" : "backward");
+    EXPECT_EQ(attr0.rows_scanned.load(), n * attr0.probes.load())
+        << (forward ? "forward" : "backward");
+  }
+}
+
+TEST(ThetaJoinTest, EqualCostAttributesKeepAttributeZero) {
+  // One elementwise row over a square array: both attributes cost 1.
+  CompressedTable table({8, 8}, {8, 8});
+  CompressedRow row;
+  row.out = {{0, 7}, {0, 7}};
+  row.in = {InputCell::Relative(0, {0, 0}), InputCell::Relative(1, {0, 0})};
+  table.AddRow(row);
+  EXPECT_EQ(table.BackwardIndex()->attr(), 0);
+  EXPECT_EQ(table.ForwardIndex()->attr(), 0);
+}
+
+TEST(ThetaJoinTest, ForwardIndexIsCachedSharedAndInvalidated) {
+  CompressedTable table = ColumnStripeTable(8);
+  const std::shared_ptr<const IntervalIndex> forward = table.ForwardIndex();
+  const std::shared_ptr<const IntervalIndex> backward = table.BackwardIndex();
+  EXPECT_EQ(table.ForwardIndex(), forward);
+  EXPECT_NE(forward, backward);
+
+  // Copies share both indexes until they mutate.
+  CompressedTable copy = table;
+  EXPECT_EQ(copy.ForwardIndex(), forward);
+  EXPECT_EQ(copy.BackwardIndex(), backward);
+
+  copy.set_out_iv(0, 1, {0, 7});
+  EXPECT_NE(copy.ForwardIndex(), forward);
+  EXPECT_NE(copy.BackwardIndex(), backward);
+  EXPECT_EQ(table.ForwardIndex(), forward);  // the original keeps its own
+
+  CompressedTable grown = table;
+  EXPECT_EQ(grown.ForwardIndex(), forward);
+  CompressedRow row;
+  row.out = {{0, 7}, {0, 0}};
+  row.in = {InputCell::Relative(0, {0, 0}), InputCell::Relative(1, {0, 0})};
+  grown.AddRow(row);
+  const std::shared_ptr<const IntervalIndex> rebuilt = grown.ForwardIndex();
+  EXPECT_NE(rebuilt, forward);
+  EXPECT_EQ(rebuilt->size(), 9);
+}
+
 // ----------------------------------------- equivalence with ground truth --
 
 // For each single-op lineage: random queries, both directions, in-situ

@@ -411,12 +411,13 @@ TEST(JoinPathSweepTest, ForwardJoinBitIdenticalAcrossPaths) {
       for (int num_threads : {1, 4}) {
         const BoxTable owned = ForwardThetaJoin(q, table, num_threads, false);
         EXPECT_TRUE(SameTable(
-            ForwardThetaJoin(q, table.view(), num_threads, false), owned))
+            ForwardThetaJoin(q, table.view(), nullptr, num_threads, false),
+            owned))
             << "view rows=" << rows << " frac=" << frac
             << " threads=" << num_threads;
         JoinCounters counters;
-        EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view(), num_threads,
-                                               false, &counters),
+        EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view(), nullptr,
+                                               num_threads, false, &counters),
                               owned))
             << "profiled rows=" << rows << " frac=" << frac
             << " threads=" << num_threads;
