@@ -4,12 +4,17 @@
 // maximum latencies across workflows are reported alongside the mean
 // (the paper's interval bars).
 //
-// Per workflow, DSLog and DSLog-NoMerge each report the median of kReps
-// runs, alternating which goes first, over tables decoded once and warmed
-// by one untimed query each (which builds the cached forward indexes). The
-// gzip decode of the stored tables is timed apart (median of kReps) and
-// reported in its own column. The baselines decode inside their single
-// timed run.
+// The paper's query is kQueryCells scattered cells of the first array.
+// DSLog and DSLog-NoMerge also answer a second shape, one contiguous run of
+// kQueryCells cells in row-major order (the "range" rows), which shows
+// how much of the merge's effect depends on the query being scattered.
+//
+// Per workflow and shape, DSLog and DSLog-NoMerge each report the median of
+// kReps runs, alternating which goes first, over tables decoded once and
+// warmed by one untimed query each (which builds the cached forward
+// indexes). The gzip decode of the stored tables is timed apart (median of
+// kReps) and reported in its own column. The baselines decode inside their
+// single timed run, on the scattered query only.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +29,7 @@ namespace {
 constexpr double kTimeoutSeconds = 30.0;
 constexpr int64_t kInitialCells = 20000;  // paper: 100k (scaled down)
 constexpr int kWorkflows = 8;             // paper: 20
-constexpr int64_t kQueryCells = 200;      // scattered cells of the first array
+constexpr int64_t kQueryCells = 200;      // cells of the first array queried
 constexpr int kReps = 21;                 // DSLog runs per workflow
 
 struct Series {
@@ -46,15 +51,59 @@ struct Series {
   }
 };
 
+// `count` consecutive cells of the first array in row-major order, from a
+// random start: a range query, where SampleQueryCells scatters its cells.
+std::vector<int64_t> ContiguousQueryCells(const Workflow& wf, int64_t count,
+                                          Rng* rng) {
+  const std::vector<int64_t>& shape = wf.shapes[0];
+  int64_t total = 1;
+  for (int64_t d : shape) total *= d;
+  count = std::min(count, total);
+  NDArray probe(shape);  // index helper
+  std::vector<int64_t> cells;
+  std::vector<int64_t> idx(shape.size());
+  const int64_t start = rng->UniformRange(0, total - count);
+  for (int64_t flat = start; flat < start + count; ++flat) {
+    probe.UnravelIndex(flat, idx);
+    cells.insert(cells.end(), idx.begin(), idx.end());
+  }
+  return cells;
+}
+
+// Adds the median DSLog (merged) and DSLog-NoMerge latencies of one query
+// to `merged` and `unmerged`: one untimed warm-up each, then kReps runs of
+// each, alternating which goes first.
+void AddDSLogMedians(const std::vector<CompressedTable>& tables,
+                     const std::vector<int64_t>& cells, int qdim,
+                     Series* merged, Series* unmerged) {
+  QueryDSLog(tables, cells, qdim, true);
+  QueryDSLog(tables, cells, qdim, false);
+  std::vector<double> merge_s, no_merge_s;
+  for (int r = 0; r < kReps; ++r) {
+    if (r % 2 == 0) {
+      merge_s.push_back(QueryDSLog(tables, cells, qdim, true));
+      no_merge_s.push_back(QueryDSLog(tables, cells, qdim, false));
+    } else {
+      no_merge_s.push_back(QueryDSLog(tables, cells, qdim, false));
+      merge_s.push_back(QueryDSLog(tables, cells, qdim, true));
+    }
+  }
+  merged->Add(Median(merge_s));
+  unmerged->Add(Median(no_merge_s));
+}
+
 void RunExperiment(int num_ops, JsonReporter* json) {
   std::printf("--- (%s) random numpy workflows, %d operations each ---\n",
               num_ops == 5 ? "A" : "B", num_ops);
   auto formats = MakeAllBaselineFormats();
   // Series order: DSLog, DSLog-NoMerge, Raw, Parquet, Parquet-GZip,
-  // Turbo-RC, Array.
-  const char* names[] = {"DSLog",     "DSLog-NoMerge", "Raw",  "Parquet",
-                         "Parq-GZip", "Turbo-RC",      "Array"};
-  Series series[7];
+  // Turbo-RC, Array on the scattered query, then DSLog and DSLog-NoMerge on
+  // the range query.
+  constexpr int kSeries = 9;
+  const char* names[kSeries] = {
+      "DSLog",    "DSLog-NoMerge", "Raw",         "Parquet",      "Parq-GZip",
+      "Turbo-RC", "Array",         "DSLog-range", "NoMerge-range"};
+  Series series[kSeries];
   Series decode;  // DSLog's table decode, outside series[0] and series[1]
   int built = 0;
   for (int w = 0; w < kWorkflows * 3 && built < kWorkflows; ++w) {
@@ -66,6 +115,7 @@ void RunExperiment(int num_ops, JsonReporter* json) {
     PreparedWorkflow prep = PrepareWorkflow(wf);
     Rng rng(static_cast<uint64_t>(99 + w));
     std::vector<int64_t> cells = SampleQueryCells(wf, kQueryCells, &rng);
+    std::vector<int64_t> range = ContiguousQueryCells(wf, kQueryCells, &rng);
     int qdim = static_cast<int>(wf.shapes[0].size());
 
     std::vector<double> decode_s;
@@ -77,20 +127,8 @@ void RunExperiment(int num_ops, JsonReporter* json) {
     decode.Add(Median(decode_s));
     const std::vector<CompressedTable> tables =
         DecodeDSLogTables(prep.dslog_buffers);
-    QueryDSLog(tables, cells, qdim, true);
-    QueryDSLog(tables, cells, qdim, false);
-    std::vector<double> merge_s, no_merge_s;
-    for (int r = 0; r < kReps; ++r) {
-      if (r % 2 == 0) {
-        merge_s.push_back(QueryDSLog(tables, cells, qdim, true));
-        no_merge_s.push_back(QueryDSLog(tables, cells, qdim, false));
-      } else {
-        no_merge_s.push_back(QueryDSLog(tables, cells, qdim, false));
-        merge_s.push_back(QueryDSLog(tables, cells, qdim, true));
-      }
-    }
-    series[0].Add(Median(merge_s));
-    series[1].Add(Median(no_merge_s));
+    AddDSLogMedians(tables, cells, qdim, &series[0], &series[1]);
+    AddDSLogMedians(tables, range, qdim, &series[7], &series[8]);
     series[2].Add(QueryBaselineFormat(*formats[0], prep.format_buffers[0],
                                       cells, kTimeoutSeconds));
     series[3].Add(QueryBaselineFormat(*formats[2], prep.format_buffers[2],
@@ -105,8 +143,8 @@ void RunExperiment(int num_ops, JsonReporter* json) {
   std::printf("%-14s %12s %12s %12s %12s  (over %d workflows)\n", "method",
               "mean (s)", "min (s)", "max (s)", "decode (s)", built);
   PrintRule(79);
-  for (int i = 0; i < 7; ++i) {
-    const bool dslog = i < 2;
+  for (int i = 0; i < kSeries; ++i) {
+    const bool dslog = i < 2 || i >= 7;
     std::printf("%-14s %12.6f %12.6f %12.6f ", names[i], series[i].Mean(),
                 series[i].Min(), series[i].Max());
     if (dslog)
@@ -116,13 +154,16 @@ void RunExperiment(int num_ops, JsonReporter* json) {
     auto& record = json->Add()
                        .Num("num_ops", num_ops)
                        .Str("method", names[i])
+                       .Str("query", i >= 7 ? "range" : "scattered")
                        .Num("workflows", built)
                        .Num("mean_s", series[i].Mean())
                        .Num("min_s", series[i].Min())
                        .Num("max_s", series[i].Max());
     if (dslog) record.Num("reps", kReps).Num("decode_mean_s", decode.Mean());
   }
-  std::printf("\n");
+  std::printf("DSLog / DSLog-NoMerge: scattered %.2fx, range %.2fx\n\n",
+              series[0].Mean() / series[1].Mean(),
+              series[7].Mean() / series[8].Mean());
 }
 
 }  // namespace
@@ -131,9 +172,11 @@ int main(int argc, char** argv) {
   JsonReporter json("fig9_random", argc, argv);
   std::printf("=== Fig 9: query latency on random numpy workflows ===\n");
   std::printf(
-      "(initial arrays: %lld cells; query: %lld scattered random cells;\n"
-      " DSLog rows: median of %d alternating runs, table decode apart)\n\n",
+      "(initial arrays: %lld cells; query: %lld scattered random cells,\n"
+      " and for the -range rows %lld contiguous cells; DSLog rows: median\n"
+      " of %d alternating runs, table decode apart)\n\n",
       static_cast<long long>(kInitialCells),
+      static_cast<long long>(kQueryCells),
       static_cast<long long>(kQueryCells), kReps);
   RunExperiment(5, &json);
   RunExperiment(10, &json);

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       DSLOG_CHECK(static_cast<int64_t>(r.value().size()) == entries);
     }
     // Reset the registry so the per-bucket record carries only this thread
-    // count's pool/merge activity (the document-level "metrics" block then
+    // count's pool activity (the document-level "metrics" block then
     // reflects the last bucket — each row's numbers live in its record).
     metrics::Registry::Global().Reset();
     WallTimer timer;
@@ -175,24 +175,19 @@ int main(int argc, char** argv) {
         .Num("pool_pfor_calls", static_cast<double>(
                                     snap.CounterValue("dslog.pool.pfor_calls")))
         .Num("pool_pfor_inline",
-             static_cast<double>(snap.CounterValue("dslog.pool.pfor_inline")))
-        .Num("tree_merges", static_cast<double>(
-                                snap.CounterValue("dslog.join.tree_merges")));
+             static_cast<double>(snap.CounterValue("dslog.pool.pfor_inline")));
     if (const auto* depth = snap.FindHistogram("dslog.pool.queue_depth")) {
       rec.Num("pool_queue_depth_p50", static_cast<double>(depth->Quantile(0.5)))
           .Num("pool_queue_depth_p95",
                static_cast<double>(depth->Quantile(0.95)))
           .Num("pool_queue_depth_max", static_cast<double>(depth->max));
     }
-    if (const auto* merge = snap.FindHistogram("dslog.join.tree_merge_us")) {
-      rec.Num("tree_merge_us_total", static_cast<double>(merge->sum))
-          .Num("tree_merge_us_p95", static_cast<double>(merge->Quantile(0.95)));
-    }
   }
 
   std::printf(
-      "\nExpected shape: near-linear scaling while cores last (batch entries\n"
-      "are independent shared-lock readers); the 8-thread row should reach\n"
-      ">= 3x the single-thread throughput on a >= 4-core machine.\n");
+      "\nShape: each batch entry runs on one thread as an independent\n"
+      "shared-lock reader, so throughput grows with threads until the cores\n"
+      "run out and stays flat beyond them. The bench-concurrency CI job\n"
+      "fails when the 4-thread row's speedup_vs_1 is below 1.5x.\n");
   return 0;
 }

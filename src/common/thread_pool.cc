@@ -17,7 +17,7 @@ namespace {
 thread_local bool tls_in_pool_worker = false;
 
 // Pool observability (common/metrics.h). Submitted tasks are coarse
-// (θ-join partitions, batch entries), so two clock reads per task and a
+// (whole batch entries), so two clock reads per task and a
 // few relaxed counter adds are noise against the task body. References
 // resolved once.
 struct PoolMetrics {

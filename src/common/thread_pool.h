@@ -1,8 +1,8 @@
-// Fixed-size worker pool for the parallel query subsystem. Deliberately
+// Fixed-size worker pool behind DSLog::ProvQueryBatch. Deliberately
 // work-stealing-free: one shared FIFO queue drained by a fixed set of
-// workers, which is sufficient for the coarse-grained partitions the query
-// engine produces (per-query batch entries, per-chunk θ-join slices) and
-// keeps the scheduler trivially auditable under ThreadSanitizer.
+// workers, which is sufficient for the coarse-grained tasks it runs (one
+// whole query per batch entry) and keeps the scheduler trivially
+// auditable under ThreadSanitizer.
 
 #ifndef DSLOG_COMMON_THREAD_POOL_H_
 #define DSLOG_COMMON_THREAD_POOL_H_
@@ -54,7 +54,7 @@ class ThreadPool {
   /// execution; exposed so tests can assert the inline-on-nesting path.
   static bool InWorkerThread();
 
-  /// The process-wide pool shared by the query subsystem. Sized to the
+  /// The process-wide pool ProvQueryBatch fans out on. Sized to the
   /// hardware concurrency but at least 8, so thread-count sweeps behave
   /// identically on small machines (idle workers only sleep). Intentionally
   /// never destroyed: worker shutdown during static destruction would race

@@ -763,8 +763,6 @@ struct DslogServer::Impl {
       s->active_cancel = token;
     }
     QueryOptions qo = req.options;
-    qo.num_threads =
-        std::clamp(qo.num_threads, 1, std::max(1, options.query_threads_cap));
     qo.cancel = token.get();
     QueryProfile profile;
     Result<BoxTable> r = s->store->log.ProvQuery(

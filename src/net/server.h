@@ -65,8 +65,6 @@ struct ServerOptions {
   /// Per-write-syscall progress timeout when a client stops draining its
   /// receive window.
   int write_timeout_ms = 10'000;
-  /// Upper bound applied to QueryOptions::num_threads from the wire.
-  int query_threads_cap = 8;
   /// Whether OpenStore{create=true} may create a new tenant namespace.
   bool allow_create_store = true;
   std::string server_name = "dslog_server";

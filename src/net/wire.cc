@@ -211,18 +211,13 @@ bool GetLineageRelation(std::string_view src, size_t* pos,
 
 void PutQueryOptions(std::string* dst, const QueryOptions& options) {
   PutBool(dst, options.merge_between_hops);
-  PutVarint64(dst, static_cast<uint64_t>(std::max(1, options.num_threads)));
   PutBool(dst, options.profile);
 }
 
 bool GetQueryOptions(std::string_view src, size_t* pos, QueryOptions* out) {
   *out = QueryOptions();
-  if (!GetBool(src, pos, &out->merge_between_hops)) return false;
-  uint64_t threads = 0;
-  if (!GetVarint64(src, pos, &threads)) return false;
-  if (threads == 0 || threads > 1024) return false;
-  out->num_threads = static_cast<int>(threads);
-  return GetBool(src, pos, &out->profile);
+  return GetBool(src, pos, &out->merge_between_hops) &&
+         GetBool(src, pos, &out->profile);
 }
 
 }  // namespace net

@@ -43,7 +43,7 @@ namespace net {
 inline constexpr uint32_t kMagic = 0x4E4C5344;
 /// Bumped whenever a message layout changes, so a peer speaking another
 /// version is refused with NotSupported at Hello instead of misparsed.
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Frame bytes after the length field that are not payload (opcode + id).
 inline constexpr uint32_t kFrameOverhead = 5;
@@ -157,7 +157,7 @@ void PutLineageRelation(std::string* dst, const LineageRelation& rel);
 bool GetLineageRelation(std::string_view src, size_t* pos,
                         LineageRelation* out);
 
-/// The QueryOptions fields that travel (merge/threads/profile).
+/// The QueryOptions fields that travel (merge/profile).
 /// `cancel` stays host-local: the server arms its own per-request token.
 void PutQueryOptions(std::string* dst, const QueryOptions& options);
 bool GetQueryOptions(std::string_view src, size_t* pos, QueryOptions* out);

@@ -23,19 +23,6 @@ BoxTable BoxTable::FromCells(int ndim, const std::vector<int64_t>& cells) {
   return t;
 }
 
-void BoxTable::Append(const BoxTable& other) {
-  if (other.empty()) return;
-  DSLOG_CHECK(other.ndim_ == ndim_) << "Append arity mismatch";
-  flat_.insert(flat_.end(), other.flat_.begin(), other.flat_.end());
-}
-
-BoxTable BoxTable::Slice(int64_t begin, int64_t end) const {
-  DSLOG_CHECK(0 <= begin && begin <= end && end <= num_boxes());
-  BoxTable t(ndim_);
-  t.flat_.assign(flat_.begin() + begin * ndim_, flat_.begin() + end * ndim_);
-  return t;
-}
-
 BoxTable BoxTable::FromBox(std::vector<Interval> box) {
   BoxTable t(static_cast<int>(box.size()));
   t.flat_ = std::move(box);

@@ -31,14 +31,6 @@ class BoxTable {
     flat_.insert(flat_.end(), box.begin(), box.end());
   }
 
-  /// Appends every box of `other` (same arity required). Used to
-  /// concatenate per-worker partial results of a partitioned θ-join.
-  void Append(const BoxTable& other);
-
-  /// The contiguous sub-table of boxes [begin, end) as one bulk copy (the
-  /// per-worker query slice of a partitioned θ-join).
-  BoxTable Slice(int64_t begin, int64_t end) const;
-
   std::span<const Interval> Box(int64_t i) const {
     return {flat_.data() + i * ndim_, static_cast<size_t>(ndim_)};
   }

@@ -20,13 +20,11 @@ namespace {
 
 /// One hop's θ-join, dispatched by direction. `counters` rides through to
 /// the kernels (nullptr = unprofiled).
-BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
-                bool merge, JoinCounters* counters) {
+BoxTable RunHop(const QueryHop& hop, const BoxTable& current,
+                JoinCounters* counters) {
   if (hop.forward)
-    return ForwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
-                            counters);
-  return BackwardThetaJoin(current, hop.table, hop.index, num_threads, merge,
-                           counters);
+    return ForwardThetaJoin(current, hop.table, hop.index, counters);
+  return BackwardThetaJoin(current, hop.table, hop.index, counters);
 }
 
 }  // namespace
@@ -34,10 +32,6 @@ BoxTable RunHop(const QueryHop& hop, const BoxTable& current, int num_threads,
 BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
                      const QueryOptions& options, QueryProfile* profile) {
   DSLOG_CHECK(!hops.empty());
-  const int num_threads = std::max(1, options.num_threads);
-  // merge_between_hops is pushed into the joins: each worker canonicalizes
-  // its private arena and the pairwise tree reduction re-merges, so no
-  // single-threaded Merge epilogue runs here between hops.
   const bool merge = options.merge_between_hops;
   static metrics::Counter& queries =
       metrics::Registry::Global().counter("dslog.query.count");
@@ -46,9 +40,9 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
   queries.Increment();
 
   if (!options.profile || profile == nullptr) {
-    // The unprofiled hot path: identical join calls to every prior
-    // release, plus two relaxed counter adds per query/hop — no clock
-    // reads, no atomics inside the kernels.
+    // The unprofiled hot path: one join and at most one Merge per hop,
+    // plus two relaxed counter adds per query/hop — no clock reads, no
+    // atomics inside the kernels.
     BoxTable current = query;
     for (const QueryHop& hop : hops) {
       // Inter-hop cancellation boundary: a cancelled query abandons its
@@ -56,7 +50,8 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
       // to Status::Cancelled; bare callers poll the token themselves).
       if (options.cancel != nullptr && options.cancel->ShouldStop())
         return BoxTable();
-      current = RunHop(hop, current, num_threads, merge, nullptr);
+      current = RunHop(hop, current, nullptr);
+      if (merge) current.Merge();
       hops_run.Increment();
       if (current.empty()) break;
     }
@@ -78,7 +73,6 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
   WallTimer query_timer;
   if (profile->hops.size() != hops.size()) profile->hops.resize(hops.size());
   profile->simd_isa = simd::kIsaName;
-  profile->num_threads = num_threads;
   profile->merge_between_hops = merge;
 
   BoxTable current = query;
@@ -95,12 +89,20 @@ BoxTable InSituQuery(const std::vector<QueryHop>& hops, const BoxTable& query,
     hop_span.Arg("query_boxes", current.num_boxes());
     JoinCounters counters;
     WallTimer hop_timer;
-    current = RunHop(hop, current, num_threads, merge, &counters);
+    current = RunHop(hop, current, &counters);
+    hp.merge_us = 0;
+    if (merge) {
+      trace::Span merge_span("BoxTable.Merge", "join");
+      merge_span.Arg("boxes_in", current.num_boxes());
+      WallTimer merge_timer;
+      current.Merge();
+      hp.merge_us = static_cast<int64_t>(merge_timer.ElapsedSeconds() * 1e6);
+      merge_span.Arg("boxes_out", current.num_boxes());
+    }
     hp.wall_ms = hop_timer.ElapsedMillis();
-    hp.probes = counters.probes.load(std::memory_order_relaxed);
-    hp.rows_scanned = counters.rows_scanned.load(std::memory_order_relaxed);
-    hp.rows_emitted = counters.rows_emitted.load(std::memory_order_relaxed);
-    hp.merge_us = counters.merge_us.load(std::memory_order_relaxed);
+    hp.probes = counters.probes;
+    hp.rows_scanned = counters.rows_scanned;
+    hp.rows_emitted = counters.rows_emitted;
     hp.result_boxes = current.num_boxes();
     hops_run.Increment();
     hop_span.Arg("rows_scanned", hp.rows_scanned);
@@ -148,7 +150,6 @@ std::string Num(double v) {
 
 std::string QueryProfile::ToJson() const {
   std::string out = "{\"simd_isa\": " + ProfileJsonEscape(simd_isa) +
-                    ", \"num_threads\": " + Num(num_threads) +
                     ", \"merge_between_hops\": " +
                     (merge_between_hops ? "true" : "false") +
                     ", \"wall_ms\": " + Num(wall_ms) +
@@ -187,8 +188,8 @@ std::string QueryProfile::ToText() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "query: %.3f ms, %" PRId64
-                " result boxes, %d thread(s), simd=%s, merge=%s\n",
-                wall_ms, result_boxes, num_threads, simd_isa.c_str(),
+                " result boxes, simd=%s, merge=%s\n",
+                wall_ms, result_boxes, simd_isa.c_str(),
                 merge_between_hops ? "on" : "off");
   std::string out = buf;
   for (size_t h = 0; h < hops.size(); ++h) {

@@ -73,8 +73,8 @@ struct HopProfile {
   int64_t rows_scanned = 0;  // candidate rows the interval index enumerated
   int64_t rows_emitted = 0;  // boxes emitted by the kernels (pre-Merge)
   int64_t result_boxes = 0;  // boxes handed to the next hop (post-Merge)
-  /// Time in the §V.B.3 merge (BoxTable::Merge), part of wall_ms. With
-  /// num_threads >= 2 it sums the workers' merges, so it can exceed wall_ms.
+  /// Time in the §V.B.3 merge (BoxTable::Merge) after this hop's join,
+  /// part of wall_ms; 0 with merge_between_hops off.
   int64_t merge_us = 0;
   /// Always 0 and not exported: there is no cost model to estimate rows.
   /// The field stays only because the end-to-end benchmark (bench/e2e)
@@ -88,7 +88,6 @@ struct HopProfile {
 /// clock reads per hop — nothing in the per-candidate inner loops.
 struct QueryProfile {
   std::string simd_isa;  // compile-time SIMD dispatch (common/simd.h)
-  int num_threads = 1;
   bool merge_between_hops = true;
   double wall_ms = 0.0;
   int64_t result_boxes = 0;
@@ -104,13 +103,9 @@ struct QueryOptions {
   /// Projection + adjacent-interval merge between hops (§V.B.3). Disabling
   /// reproduces the DSLog-NoMerge baseline of Fig 9.
   bool merge_between_hops = true;
-  /// Threads used to evaluate each θ-join: >= 2 partitions the hop's
-  /// query-box table across the shared ThreadPool, each worker filling (and
-  /// with merge_between_hops, canonicalizing) a private output arena, with
-  /// the arenas combined pairwise tree-wise on the pool — no
-  /// single-threaded Merge epilogue. 1 is the paper's single-threaded plan.
-  /// Results are set-equivalent across settings. DSLog::ProvQueryBatch
-  /// also uses this as the fan-out width across batch entries.
+  /// Fan-out width of DSLog::ProvQueryBatch: up to this many batch
+  /// entries run at once on the shared ThreadPool. A single query always
+  /// runs on its caller's thread, so ProvQuery and InSituQuery ignore it.
   int num_threads = 1;
   /// Collect a QueryProfile (pass one to InSituQuery/ProvQuery) and enable
   /// trace spans (common/trace.h) for the query's duration. false keeps

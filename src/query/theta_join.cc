@@ -1,127 +1,27 @@
 #include "query/theta_join.h"
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "common/check.h"
-#include "common/metrics.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
-#include "common/trace.h"
 
 namespace dslog {
 
 namespace {
 
-// Plain-integer accumulator a kernel fills and flushes once at return.
-// Keeps the profiling contract visible in the code: the per-candidate
-// callbacks touch only these locals (registers), and the one FlushTo call
-// per kernel invocation is the only place atomics appear.
-struct LocalJoinCounters {
-  int64_t probes = 0;
-  int64_t rows_scanned = 0;
-  int64_t rows_emitted = 0;
-
-  void FlushTo(JoinCounters* counters) const {
-    if (counters == nullptr) return;
-    counters->probes.fetch_add(probes, std::memory_order_relaxed);
-    counters->rows_scanned.fetch_add(rows_scanned, std::memory_order_relaxed);
-    counters->rows_emitted.fetch_add(rows_emitted, std::memory_order_relaxed);
-  }
-};
-
-// Canonicalizes a join result. With counters (a profiled query) the merge
-// is timed into merge_us and traced as a BoxTable.Merge span; without them
-// it reads no clock and opens no span.
-void MergeResult(BoxTable* result, JoinCounters* counters) {
-  if (counters == nullptr) {
-    result->Merge();
-    return;
-  }
-  trace::Span span("BoxTable.Merge", "join");
-  span.Arg("boxes_in", result->num_boxes());
-  WallTimer timer;
-  result->Merge();
-  counters->merge_us.fetch_add(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6),
-      std::memory_order_relaxed);
-  span.Arg("boxes_out", result->num_boxes());
+// Adds a kernel's local counts to the caller's sink, once at return. Keeps
+// the profiling contract visible in the code: the per-candidate callbacks
+// touch only the kernel's local JoinCounters (registers).
+void FlushTo(const JoinCounters& local, JoinCounters* counters) {
+  if (counters == nullptr) return;
+  counters->probes += local.probes;
+  counters->rows_scanned += local.rows_scanned;
+  counters->rows_emitted += local.rows_emitted;
 }
 
-// Pairwise tree reduction of per-worker output arenas on the shared pool.
-// Round k combines fixed index pairs (2p, 2p+1) — an odd tail rides to the
-// next round untouched — so the combine order (and therefore the exact
-// output, merged or not) depends only on the part count, never on thread
-// scheduling. Without merging, the reduction is pure concatenation in part
-// order; with merging, every combine re-canonicalizes, keeping each
-// intermediate table small instead of paying one big Merge at the end.
-BoxTable TreeMergeParts(std::vector<BoxTable> parts, int result_ndim,
-                        bool merge_result, int num_threads,
-                        JoinCounters* counters) {
-  if (parts.empty()) return BoxTable(result_ndim);
-  if (parts.size() == 1) return std::move(parts.front());
-  // The reduction only runs for parallel joins, so two clock reads + a few
-  // relaxed adds per call are amortized into the combine work.
-  static metrics::Counter& merges =
-      metrics::Registry::Global().counter("dslog.join.tree_merges");
-  static metrics::Histogram& merge_us =
-      metrics::Registry::Global().histogram("dslog.join.tree_merge_us");
-  trace::Span span("TreeMergeParts", "join");
-  span.Arg("parts", static_cast<int64_t>(parts.size()));
-  WallTimer timer;
-  while (parts.size() > 1) {
-    const size_t pairs = parts.size() / 2;
-    std::vector<BoxTable> next(parts.size() - pairs);
-    ThreadPool::Shared().ParallelFor(
-        static_cast<int64_t>(pairs),
-        [&](int64_t p) {
-          const size_t at = static_cast<size_t>(p);
-          BoxTable combined = std::move(parts[2 * at]);
-          combined.Append(parts[2 * at + 1]);
-          if (merge_result) MergeResult(&combined, counters);
-          next[at] = std::move(combined);
-        },
-        num_threads);
-    if (parts.size() % 2 == 1) next.back() = std::move(parts.back());
-    parts = std::move(next);
-  }
-  merges.Increment();
-  merge_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return std::move(parts.front());
-}
-
-// θ-join driver: with one thread (or one query box) runs `join` (the
-// single-threaded join closed over the stored table and its index)
-// directly. Otherwise splits the query boxes into `num_threads` contiguous
-// slices, runs `join` per slice into a private arena on the shared pool,
-// then tree-reduces the arenas. Set-equivalent to join(query); with
-// merge_result each worker canonicalizes its own arena before the merging
-// reduction (no single-threaded epilogue remains).
-template <typename JoinFn>
-BoxTable PartitionedJoin(const BoxTable& query, int result_ndim,
-                         int num_threads, bool merge_result,
-                         JoinCounters* counters, JoinFn&& join) {
-  const int64_t nq = query.num_boxes();
-  const int64_t chunks = std::min<int64_t>(num_threads, nq);
-  if (chunks <= 1) {
-    BoxTable result = join(query);
-    if (merge_result) MergeResult(&result, counters);
-    return result;
-  }
-  std::vector<BoxTable> parts(static_cast<size_t>(chunks));
-  ThreadPool::Shared().ParallelFor(
-      chunks,
-      [&](int64_t c) {
-        BoxTable part = join(query.Slice(c * nq / chunks, (c + 1) * nq / chunks));
-        if (merge_result) MergeResult(&part, counters);
-        parts[static_cast<size_t>(c)] = std::move(part);
-      },
-      num_threads);
-  return TreeMergeParts(std::move(parts), result_ndim, merge_result,
-                        num_threads, counters);
-}
-
-// Single-threaded backward kernel over the columns: each query box probes
-// the index and joins the overlapping rows it enumerates.
+// Backward kernel over the columns: each query box probes the index and
+// joins the overlapping rows it enumerates.
 BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
                         const IntervalIndex& index, JoinCounters* counters) {
   const int32_t l = t.out_ndim;
@@ -131,7 +31,7 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
   std::vector<int64_t> t_lo(static_cast<size_t>(l)), t_hi(static_cast<size_t>(l));
   std::vector<Interval> out_box(static_cast<size_t>(m));
   const size_t probe_attr = static_cast<size_t>(index.attr());
-  LocalJoinCounters local;
+  JoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
@@ -167,11 +67,11 @@ BoxTable BackwardKernel(const BoxTable& query, const CompressedTableView& t,
   }
   local.probes = query.num_boxes();
   local.rows_emitted = result.num_boxes();
-  local.FlushTo(counters);
+  FlushTo(local, counters);
   return result;
 }
 
-// Single-threaded forward kernel over the columns, probing `index` (built
+// Forward kernel over the columns, probing `index` (built
 // over the rows' implied absolute intervals on one input attribute).
 BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
                        const IntervalIndex& index, JoinCounters* counters) {
@@ -182,7 +82,7 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
   std::vector<Interval> ti(static_cast<size_t>(m));
   std::vector<Interval> out_box(static_cast<size_t>(l));
   const size_t probe_attr = static_cast<size_t>(index.attr());
-  LocalJoinCounters local;
+  JoinCounters local;
 
   for (int64_t qb = 0; qb < query.num_boxes(); ++qb) {
     const auto q = query.Box(qb);
@@ -226,7 +126,7 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
   }
   local.probes = query.num_boxes();
   local.rows_emitted = result.num_boxes();
-  local.FlushTo(counters);
+  FlushTo(local, counters);
   return result;
 }
 
@@ -234,53 +134,32 @@ BoxTable ForwardKernel(const BoxTable& query, const CompressedTableView& t,
 
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,
-                           const IntervalIndex* index, int num_threads,
-                           bool merge_result, JoinCounters* counters) {
+                           const IntervalIndex* index,
+                           JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.out_ndim)
       << "backward query arity mismatch";
-  IntervalIndex ephemeral;
-  if (index == nullptr) {
-    ephemeral = table.BuildBackwardIndex();
-    index = &ephemeral;
-  }
-  return PartitionedJoin(query, table.in_ndim, num_threads, merge_result,
-                         counters,
-                         [&table, index, counters](const BoxTable& q) {
-                           return BackwardKernel(q, table, *index, counters);
-                         });
+  if (index != nullptr) return BackwardKernel(query, table, *index, counters);
+  return BackwardKernel(query, table, table.BuildBackwardIndex(), counters);
 }
 
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
-                           int num_threads, bool merge_result,
                            JoinCounters* counters) {
   std::shared_ptr<const IntervalIndex> index = table.BackwardIndex();
-  return BackwardThetaJoin(query, table.view(), index.get(), num_threads,
-                           merge_result, counters);
+  return BackwardThetaJoin(query, table.view(), index.get(), counters);
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query,
                           const CompressedTableView& table,
-                          const IntervalIndex* index, int num_threads,
-                          bool merge_result, JoinCounters* counters) {
+                          const IntervalIndex* index, JoinCounters* counters) {
   DSLOG_CHECK(query.ndim() == table.in_ndim) << "forward query arity mismatch";
-  IntervalIndex ephemeral;
-  if (index == nullptr) {
-    ephemeral = table.BuildForwardIndex();
-    index = &ephemeral;
-  }
-  return PartitionedJoin(query, table.out_ndim, num_threads, merge_result,
-                         counters,
-                         [&table, index, counters](const BoxTable& q) {
-                           return ForwardKernel(q, table, *index, counters);
-                         });
+  if (index != nullptr) return ForwardKernel(query, table, *index, counters);
+  return ForwardKernel(query, table, table.BuildForwardIndex(), counters);
 }
 
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
-                          int num_threads, bool merge_result,
                           JoinCounters* counters) {
   std::shared_ptr<const IntervalIndex> index = table.ForwardIndex();
-  return ForwardThetaJoin(query, table.view(), index.get(), num_threads,
-                          merge_result, counters);
+  return ForwardThetaJoin(query, table.view(), index.get(), counters);
 }
 
 }  // namespace dslog

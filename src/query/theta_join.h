@@ -24,9 +24,7 @@
 #ifndef DSLOG_QUERY_THETA_JOIN_H_
 #define DSLOG_QUERY_THETA_JOIN_H_
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "provrc/compressed_table.h"
 #include "provrc/interval_index.h"
@@ -35,38 +33,23 @@
 namespace dslog {
 
 /// Instrumentation sink for one join call (query profiling). The contract
-/// that keeps profiling out of the hot path: kernels count into plain
-/// local integers and flush them here ONCE per kernel invocation — with a
-/// partitioned join, once per partition — so the per-candidate inner loop
-/// never touches an atomic, profiled or not. `counters == nullptr` is the
-/// default everywhere.
+/// that keeps profiling out of the hot path: kernels count into local
+/// integers and add them here ONCE per join call, so the per-candidate
+/// inner loop never writes through this pointer, profiled or not.
+/// `counters == nullptr` is the default everywhere.
 struct JoinCounters {
   /// Query boxes evaluated (index probes issued).
-  std::atomic<int64_t> probes{0};
+  int64_t probes = 0;
   /// Candidate rows enumerated by the interval index across all probes.
-  std::atomic<int64_t> rows_scanned{0};
-  /// Boxes emitted by the kernels, before any Merge canonicalization.
-  std::atomic<int64_t> rows_emitted{0};
-  /// Microseconds spent in BoxTable::Merge (merge_result joins), added once
-  /// per Merge call. Summed over workers, so a partitioned join can report
-  /// more than its wall time.
-  std::atomic<int64_t> merge_us{0};
+  int64_t rows_scanned = 0;
+  /// Boxes emitted by the kernel. Joins never Merge their output; the
+  /// §V.B.3 merge between hops is InSituQuery's.
+  int64_t rows_emitted = 0;
 };
 
-// All joins accept a `num_threads` knob: when >= 2 the query-box table is
-// partitioned into contiguous slices, each evaluated into its own private
-// output arena on the shared ThreadPool (sharing one table index), and the
-// arenas are combined pairwise tree-wise on the pool — workers never write
-// a shared result. The output is set-equivalent to the single-threaded
-// join, and for a fixed (query, num_threads) it is bit-identical across
-// runs: partition bounds and the pairwise combine order are fixed by
-// index, not by thread scheduling.
-//
-// All joins also accept `merge_result`: when true each worker Merge()s its
-// own arena and every pairwise combine re-Merges, so the canonicalization
-// that used to run single-threaded over the full concatenation is spread
-// across the pool (this is the parallel epilogue ProvQuery uses). false
-// reproduces the raw concatenation exactly (the caller may Merge itself).
+// Every join runs on the caller's thread and returns the raw kernel output
+// in query-box order. Parallelism lives one level up: ProvQueryBatch fans
+// whole queries across the ThreadPool.
 
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
 /// `index` is the table's backward index (BuildBackwardIndex); pass nullptr
@@ -74,13 +57,11 @@ struct JoinCounters {
 BoxTable BackwardThetaJoin(const BoxTable& query,
                            const CompressedTableView& table,
                            const IntervalIndex* index = nullptr,
-                           int num_threads = 1, bool merge_result = false,
                            JoinCounters* counters = nullptr);
 
 /// Convenience overload over an owned table: uses (and lazily builds) the
 /// table's cached index.
 BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
-                           int num_threads = 1, bool merge_result = false,
                            JoinCounters* counters = nullptr);
 
 /// Forward θ-join evaluated directly on the backward representation:
@@ -91,13 +72,11 @@ BoxTable BackwardThetaJoin(const BoxTable& query, const CompressedTable& table,
 BoxTable ForwardThetaJoin(const BoxTable& query,
                           const CompressedTableView& table,
                           const IntervalIndex* index = nullptr,
-                          int num_threads = 1, bool merge_result = false,
                           JoinCounters* counters = nullptr);
 
 /// Convenience overload over an owned table: uses (and lazily builds) the
 /// table's cached forward index.
 BoxTable ForwardThetaJoin(const BoxTable& query, const CompressedTable& table,
-                          int num_threads = 1, bool merge_result = false,
                           JoinCounters* counters = nullptr);
 
 }  // namespace dslog

@@ -15,7 +15,7 @@ namespace dslog {
 
 namespace {
 
-/// Everything a query hop must keep alive after the shard lock drops:
+/// Everything a query hop must keep alive after the edge lock drops:
 /// the edge's refcounted payloads plus (for lazy edges) the store's cache
 /// pin. The store itself stays alive through ProvQuery's own reference.
 struct HopPin {
@@ -58,53 +58,30 @@ Status CheckEdgeArity(const std::string& op_name, const std::string& in_arr,
 
 }  // namespace
 
-void DSLog::InitShards() {
-  const int n = std::max(1, options_.edge_shards);
-  shards_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<EdgeShard>());
-}
-
-DSLog::EdgeShard& DSLog::ShardFor(const std::string& out_arr) const {
-  return *shards_[Hash64(out_arr) % shards_.size()];
-}
-
 DSLog::DSLog(DSLog&& other) noexcept {
   std::unique_lock catalog_lock(other.catalog_mu_);
-  std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
-  shard_locks.reserve(other.shards_.size());
-  for (auto& shard : other.shards_) shard_locks.emplace_back(shard->mu);
-  options_ = other.options_;
+  std::unique_lock edges_lock(other.edges_mu_);
   arrays_ = std::move(other.arrays_);
   predictor_ = std::move(other.predictor_);
   store_ = std::move(other.store_);
   findedge_pins_ = std::move(other.findedge_pins_);
-  shards_ = std::move(other.shards_);
-  shard_locks.clear();  // release before other re-initializes
-  catalog_lock.unlock();
-  other.shards_.clear();
-  other.InitShards();  // leave other valid (empty), as move-from promises
+  edges_ = std::move(other.edges_);
+  other.edges_.clear();  // leave other valid (empty), as move-from promises
 }
 
 DSLog& DSLog::operator=(DSLog&& other) noexcept {
   if (this == &other) return *this;
+  std::scoped_lock catalog_locks(catalog_mu_, other.catalog_mu_);
+  std::scoped_lock edges_locks(edges_mu_, other.edges_mu_);
+  arrays_ = std::move(other.arrays_);
+  predictor_ = std::move(other.predictor_);
+  store_ = std::move(other.store_);
   {
-    std::scoped_lock catalog_locks(catalog_mu_, other.catalog_mu_);
-    std::vector<std::unique_lock<std::shared_mutex>> shard_locks;
-    shard_locks.reserve(shards_.size() + other.shards_.size());
-    for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
-    for (auto& shard : other.shards_) shard_locks.emplace_back(shard->mu);
-    options_ = other.options_;
-    arrays_ = std::move(other.arrays_);
-    predictor_ = std::move(other.predictor_);
-    store_ = std::move(other.store_);
-    {
-      std::scoped_lock pins(findedge_pins_mu_, other.findedge_pins_mu_);
-      findedge_pins_ = std::move(other.findedge_pins_);
-    }
-    shards_.swap(other.shards_);
+    std::scoped_lock pins(findedge_pins_mu_, other.findedge_pins_mu_);
+    findedge_pins_ = std::move(other.findedge_pins_);
   }
-  other.shards_.clear();
-  other.InitShards();
+  edges_ = std::move(other.edges_);
+  other.edges_.clear();
   return *this;
 }
 
@@ -129,23 +106,11 @@ Result<std::vector<int64_t>> DSLog::ArrayShape(const std::string& name) const {
 }
 
 void DSLog::CommitEdges(std::vector<Edge> edges) {
-  // Group by shard so each shard's writer lock is taken exactly once —
-  // with ingest batches this is the only serialization point left, and
-  // it is held just for map inserts (tables were compressed long before).
-  std::sort(edges.begin(), edges.end(), [this](const Edge& a, const Edge& b) {
-    return &ShardFor(a.out_arr) < &ShardFor(b.out_arr);
-  });
-  size_t i = 0;
-  while (i < edges.size()) {
-    EdgeShard& shard = ShardFor(edges[i].out_arr);
-    size_t j = i;
-    while (j < edges.size() && &ShardFor(edges[j].out_arr) == &shard) ++j;
-    std::unique_lock lock(shard.mu);
-    for (size_t k = i; k < j; ++k) {
-      std::string key = EdgeKey(edges[k].in_arr, edges[k].out_arr);
-      shard.edges[std::move(key)] = std::move(edges[k]);
-    }
-    i = j;
+  // Held just for the map inserts (tables were compressed long before).
+  std::unique_lock lock(edges_mu_);
+  for (Edge& edge : edges) {
+    std::string key = EdgeKey(edge.in_arr, edge.out_arr);
+    edges_[std::move(key)] = std::move(edge);
   }
 }
 
@@ -213,7 +178,7 @@ Result<ReuseOutcome> DSLog::RegisterOperation(OperationRegistration reg) {
         return Status::NotFound("no promoted reuse mapping for " + reg.op_name);
       outcome.dim_hit = true;  // served from the reuse index
     }
-  }  // catalog lock released: edge commit takes only the target shard.
+  }  // catalog lock released: edge commit takes only the edge lock.
 
   if (tables.size() != reg.in_arrs.size())
     return Status::Internal("table count mismatch");
@@ -323,17 +288,17 @@ Result<bool> DSLog::FindEdgeCopy(const std::string& in_arr,
                                  const std::string& out_arr,
                                  const LogStore* store, Edge* out) const {
   {
-    EdgeShard& shard = ShardFor(out_arr);
-    std::shared_lock lock(shard.mu);
-    auto it = shard.edges.find(EdgeKey(in_arr, out_arr));
-    if (it != shard.edges.end()) {
+    const std::string key = EdgeKey(in_arr, out_arr);
+    std::shared_lock lock(edges_mu_);
+    auto it = edges_.find(key);
+    if (it != edges_.end()) {
       *out = it->second;  // string + shared_ptr copies only
       return true;
     }
   }
-  // Shard miss: probe the store's perfect-hash segment index (O(1), and it
-  // touches no segment bytes). Mapped edges are never materialized into the
-  // shards, so this is the common path for an in-situ catalog.
+  // Resident miss: probe the store's perfect-hash segment index (O(1), and
+  // it touches no segment bytes). Mapped edges are never materialized into
+  // the resident map, so this is the common path for an in-situ catalog.
   if (store == nullptr) return false;
   DSLOG_ASSIGN_OR_RETURN(int64_t segment,
                          store->FindSegmentId(in_arr, out_arr));
@@ -403,7 +368,7 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
   const bool prof = options.profile && profile != nullptr;
   if (prof) profile->hops.clear();
   // One brief catalog-lock acquisition to pin the backing store for the
-  // query's duration; every hop after this touches only its own shard.
+  // query's duration; every hop after this takes only the edge lock.
   std::shared_ptr<const LogStore> store = log_store();
   std::vector<QueryHop> hops;
   // Arity of the boxes entering the next hop: the query's, then each hop's
@@ -420,8 +385,8 @@ Result<BoxTable> DSLog::ProvQuery(const std::vector<std::string>& path,
     bool forward;
     // Forward hop: path[k] is the relation's input array; backward hop:
     // path[k] is its output array. Each lookup copies the edge out under
-    // its shard's reader lock — the lock is dropped before any decode or
-    // index build (the "shard lock never held across decode" contract) —
+    // the edge lock, held shared — the lock is dropped before any decode or
+    // index build (the "edge lock never held across decode" contract) —
     // then falls back to the pinned store's segment index.
     DSLOG_ASSIGN_OR_RETURN(
         bool fwd, FindEdgeCopy(path[k], path[k + 1], store.get(), &edge));
@@ -500,15 +465,6 @@ Result<std::vector<BoxTable>> DSLog::ProvQueryBatch(
   if (n == 0) return std::vector<BoxTable>{};
 
   const int num_threads = std::max(1, options.num_threads);
-  QueryOptions per_query = options;
-  // Batch-level parallelism first: with enough entries to occupy every
-  // thread, each query's joins run single-threaded. For smaller batches the
-  // entries still fan out (n-way), and the leftover threads additionally
-  // serve the caller-executed entries' partitioned joins; entries that land
-  // on pool workers keep single-threaded joins, since the fixed pool cannot
-  // be re-entered (a nested ParallelFor from a worker runs inline).
-  if (n >= num_threads) per_query.num_threads = 1;
-
   const bool prof = options.profile && profiles != nullptr;
   if (prof) {
     profiles->clear();
@@ -520,10 +476,10 @@ Result<std::vector<BoxTable>> DSLog::ProvQueryBatch(
       n,
       [&](int64_t i) {
         const size_t idx = static_cast<size_t>(i);
-        // Entries lock nothing beyond per-hop shard reads, so concurrent
+        // Entries lock nothing beyond per-hop edge-lock reads, so concurrent
         // writers make progress throughout a long batch. Each profiled
         // entry writes only its own pre-sized slot.
-        auto r = ProvQuery(paths[idx], queries[idx], per_query,
+        auto r = ProvQuery(paths[idx], queries[idx], options,
                            prof ? &(*profiles)[idx] : nullptr);
         if (r.ok())
           results[idx] = std::move(r).value();
@@ -557,10 +513,8 @@ std::map<std::string, DSLog::Edge> DSLog::SnapshotEdges() const {
       all[EdgeKey(seg.in_arr, seg.out_arr)] = std::move(edge);
     }
   }
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mu);
-    for (const auto& [key, edge] : shard->edges) all[key] = edge;
-  }
+  std::shared_lock lock(edges_mu_);
+  for (const auto& [key, edge] : edges_) all[key] = edge;
   return all;
 }
 
@@ -640,7 +594,7 @@ Result<DSLog> DSLog::OpenInSitu(const std::string& path,
                                 const InSituOptions& options) {
   DSLOG_ASSIGN_OR_RETURN(std::unique_ptr<LogStore> store,
                          LogStore::Open(path, options.store));
-  DSLog log(options.catalog);
+  DSLog log;
   log.arrays_ = store->arrays();
   // No per-edge state is built here: lookups resolve through the store's
   // segment index (FindEdgeCopy's fallback), so open cost is the footer

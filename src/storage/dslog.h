@@ -7,14 +7,12 @@
 // Thread-safety: a DSLog is safe for any number of concurrent readers
 // (ProvQuery, ProvQueryBatch, the const accessors, and the LogStore savers)
 // interleaved with writers (DefineArray, RegisterOperation, StagedIngest).
-// The edge
-// catalog is lock-striped: edges live in N shards (hash of the edge's
-// output array), each under its own shared_mutex, so concurrent readers
-// and an ingesting writer only contend when they touch the same shard —
-// and even then a hop holds the shard lock just long enough to copy out
-// the edge's (refcounted) payload, never across a segment decode or a
-// θ-join. See docs/ARCHITECTURE.md ("Concurrency model") for the full
-// contract.
+// The edge catalog is one map under its own shared_mutex, separate from
+// the lock over arrays and the reuse predictor. A query hop holds the edge
+// lock shared just long enough to copy out the edge's (refcounted)
+// payload, never across a segment decode or a θ-join; a writer holds it
+// exclusively only for the map inserts. See docs/ARCHITECTURE.md
+// ("Concurrency model") for the full contract.
 
 #ifndef DSLOG_STORAGE_DSLOG_H_
 #define DSLOG_STORAGE_DSLOG_H_
@@ -55,30 +53,16 @@ struct OperationRegistration {
   bool reuse = true;
 };
 
-/// Configuration of a DSLog catalog.
-struct DSLogOptions {
-  /// Number of lock-striped shards the edge catalog is split across (each
-  /// shard has its own shared_mutex). Edges hash to a shard by output
-  /// array, so one RegisterOperation commits all its edges under a single
-  /// shard lock while readers of other shards proceed untouched. Clamped
-  /// to >= 1; 1 reproduces the old single-lock catalog (contention tests
-  /// sweep this).
-  int edge_shards = 16;
-};
-
 /// Configuration of DSLog::OpenInSitu.
 struct InSituOptions {
   /// Mapping, checksum, and decode-cache behaviour of the backing LogStore.
   LogStoreOptions store;
-  /// Catalog behaviour of the opened DSLog (its edge shard count).
-  DSLogOptions catalog;
 };
 
 /// The DSLog storage manager.
 class DSLog {
  public:
-  DSLog() { InitShards(); }
-  explicit DSLog(DSLogOptions options) : options_(options) { InitShards(); }
+  DSLog() = default;
 
   /// Movable (each instance keeps its own locks; the catalog state moves).
   /// Moving a DSLog that other threads are still using is a data race, as
@@ -130,12 +114,11 @@ class DSLog {
 
   /// Answers a batch of path queries (`paths[i]` evaluated against
   /// `queries[i]`), fanning the entries across the shared ThreadPool with
-  /// up to `options.num_threads` concurrent workers. Entry i of the result
-  /// equals ProvQuery(paths[i], queries[i]) exactly; on any entry failure
-  /// the first (lowest-index) error is returned, annotated with its index.
-  /// When the batch is smaller than num_threads, entries still fan out and
-  /// the leftover threads serve the caller-executed entries' partitioned
-  /// θ-joins.
+  /// up to `options.num_threads` concurrent workers. This fan-out is the
+  /// only query parallelism: each entry runs on one thread. Entry i of the
+  /// result equals ProvQuery(paths[i], queries[i]) exactly; on any entry
+  /// failure the first (lowest-index) error is returned, annotated with
+  /// its index.
   ///
   /// With `options.profile` set and `profiles` non-null, `profiles` is
   /// resized to the batch size and entry i receives entry i's
@@ -210,8 +193,6 @@ class DSLog {
   /// nullptr for a fully in-memory catalog.
   std::shared_ptr<const LogStore> log_store() const;
 
-  int edge_shard_count() const { return static_cast<int>(shards_.size()); }
-
  private:
   friend class StagedIngest;
 
@@ -220,7 +201,7 @@ class DSLog {
     std::string out_arr;
     std::string op_name;
     /// Backward representation (outputs absolute). Refcounted so a query
-    /// hop (or FindEdge pin) keeps the arenas alive after the shard lock
+    /// hop (or FindEdge pin) keeps the arenas alive after the edge lock
     /// is released, even across a concurrent re-registration. nullptr for
     /// lazy edges, which resolve through store_ by `segment`.
     std::shared_ptr<const CompressedTable> table;
@@ -228,28 +209,19 @@ class DSLog {
     int32_t segment = -1;
   };
 
-  /// One lock stripe of the edge catalog.
-  struct EdgeShard {
-    mutable std::shared_mutex mu;
-    std::map<std::string, Edge> edges;
-  };
-
   static std::string EdgeKey(const std::string& in_arr,
                              const std::string& out_arr) {
     return EdgeStoreKey(in_arr, out_arr);
   }
 
-  void InitShards();
-  EdgeShard& ShardFor(const std::string& out_arr) const;
-
-  /// Resolves edge in_arr -> out_arr: the shard map first (shard lock held
-  /// only for the copy; the shared_ptr payloads outlive the lock), then —
-  /// on a miss, when `store` is non-null — the store's segment index,
-  /// synthesizing a lazy Edge from the matched segment's metadata. Returns
-  /// false when neither holds the edge; an error only on store-index
-  /// corruption. The shard lock is released before the store probe, so a
-  /// concurrently committed resident edge may shadow the store's segment
-  /// for one lookup but never produces a torn edge.
+  /// Resolves edge in_arr -> out_arr: the resident map first (edge lock
+  /// held shared only for the copy; the shared_ptr payloads outlive the
+  /// lock), then — on a miss, when `store` is non-null — the store's
+  /// segment index, synthesizing a lazy Edge from the matched segment's
+  /// metadata. Returns false when neither holds the edge; an error only on
+  /// store-index corruption. The edge lock is released before the store
+  /// probe, so a concurrently committed resident edge may shadow the
+  /// store's segment for one lookup but never produces a torn edge.
   Result<bool> FindEdgeCopy(const std::string& in_arr,
                             const std::string& out_arr, const LogStore* store,
                             Edge* out) const;
@@ -263,21 +235,20 @@ class DSLog {
       const Edge& edge, bool forward, const LogStore* store,
       LogStore::ViewEvent* ev = nullptr) const;
 
-  /// Commits edges into their shards, one writer-lock acquisition per
-  /// distinct shard (edges of one operation share a shard by design).
+  /// Commits edges into the resident map under one exclusive edge-lock
+  /// acquisition.
   void CommitEdges(std::vector<Edge> edges);
 
   /// Point-in-time copy of every edge, keyed by EdgeKey: the backing
-  /// store's segments (as lazy edges) merged with the resident shard
-  /// overlay, resident edges shadowing same-key segments. Each shard lock
-  /// is held shared only while that shard is copied.
+  /// store's segments (as lazy edges) merged with the resident map,
+  /// resident edges shadowing same-key segments. The edge lock is held
+  /// shared only while the resident map is copied.
   std::map<std::string, Edge> SnapshotEdges() const;
 
-  DSLogOptions options_;
   /// Guards arrays_, predictor_, and store_ (the catalog-level state).
-  /// Lock order: catalog_mu_ before any shard mu; a shard lock is never
-  /// held while taking catalog_mu_, another shard's mu (except the
-  /// ascending-order multi-lock of a move), or a LogStore decode.
+  /// Lock order: catalog_mu_, then edges_mu_, then the LogStore's cache
+  /// shard locks. edges_mu_ is never held while taking catalog_mu_ or
+  /// across a LogStore decode.
   mutable std::shared_mutex catalog_mu_;
   std::map<std::string, std::vector<int64_t>> arrays_;
   ReusePredictor predictor_;
@@ -286,10 +257,11 @@ class DSLog {
   /// concurrently with no catalog lock held.
   std::shared_ptr<const LogStore> store_;
 
-  /// The lock-striped edge catalog. The vector itself is immutable between
-  /// construction and destruction (a move replaces contents under all
-  /// locks), so ShardFor needs no lock.
-  std::vector<std::unique_ptr<EdgeShard>> shards_;
+  /// The resident edge catalog, keyed by EdgeKey. Its own lock, so edge
+  /// lookups never wait on the predictor bookkeeping that RegisterOperation
+  /// and Drain do under catalog_mu_.
+  mutable std::shared_mutex edges_mu_;
+  std::map<std::string, Edge> edges_;
 
   /// Tables handed out by FindEdge, pinned for the catalog's lifetime so
   /// the returned raw pointers stay valid across re-registration and LRU
@@ -302,11 +274,10 @@ class DSLog {
 /// Per-thread staging log for batched ingest — the SmokedDuck
 /// per-thread-log-then-PostProcess capture pattern: Add() validates and
 /// ProvRC-compresses a captured registration with *no* catalog locks held;
-/// Drain() groups the staged edges by catalog shard and commits them,
-/// taking each shard's writer lock exactly once (and the catalog lock once
-/// for array validation + reuse bookkeeping). K ingesting threads each own
-/// a stager, so ingest convoys on neither one global mutex nor a
-/// per-operation lock round trip.
+/// Drain() commits the whole batch with one catalog-lock round trip (array
+/// validation + reuse bookkeeping) and one edge-lock round trip (the map
+/// inserts). K ingesting threads each own a stager, so ingest pays no
+/// per-operation lock round trip and never holds a lock while compressing.
 ///
 /// Only captured-lineage registrations can be staged (`captured` non-empty):
 /// serving lineage *from* the reuse index would require reading the

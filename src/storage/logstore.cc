@@ -485,7 +485,7 @@ Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
   if (id >= num_segments_)
     return Status::InvalidArgument("logstore segment id out of range");
   LogStoreMetrics& lsm = LogStoreMetrics::Get();
-  CacheShard& shard = ShardFor(id);
+  CacheShard& shard = CacheShardOf(id);
   if (ev != nullptr) ev->segment_bytes = segment_length(id);
   const auto pinned = [dir](const std::shared_ptr<ResolvedSegment>& seg) {
     return PinnedTable{seg->view,

@@ -358,7 +358,7 @@ class LogStore {
     ShardStats stats;
   };
 
-  CacheShard& ShardFor(size_t id) const {
+  CacheShard& CacheShardOf(size_t id) const {
     return cache_shards_[id % num_cache_shards_];
   }
 
@@ -390,7 +390,7 @@ class LogStore {
   std::string predictor_state_;
 
   /// Striped cache state. The array and shard count are fixed at Open
-  /// (before any concurrency), so ShardFor needs no lock. A LogStore is
+  /// (before any concurrency), so CacheShardOf needs no lock. A LogStore is
   /// only handed out behind unique_ptr/shared_ptr, so the non-movable
   /// shard array is fine. Per-shard byte budget: see cache_shards docs.
   size_t num_cache_shards_ = 1;

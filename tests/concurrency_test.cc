@@ -19,10 +19,8 @@
 #include "array/op_registry.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "provrc/provrc.h"
 #include "query/box.h"
 #include "query/query_engine.h"
-#include "query/theta_join.h"
 #include "storage/dslog.h"
 #include "test_util.h"
 
@@ -353,11 +351,8 @@ TEST(ConcurrencyStressTest, ReadersVsWriterOracleConsistent) {
   std::vector<int64_t> cells = SampleCells(shapes[0], 6, &rng);
   std::vector<RelationHop> rhops;
   for (const ChainStep& step : chain) rhops.push_back({&step.rel, true});
-  QueryOptions qopts;
-  qopts.num_threads = 4;
   auto full = log.ProvQuery(
-      names, BoxTable::FromCells(static_cast<int>(shapes[0].size()), cells),
-      qopts);
+      names, BoxTable::FromCells(static_cast<int>(shapes[0].size()), cells));
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(ToTupleSet(full.value().ExpandToCells(),
                        static_cast<int>(shapes.back().size())),
@@ -437,58 +432,63 @@ bool BoxTablesIdentical(const BoxTable& a, const BoxTable& b) {
   return true;
 }
 
-TEST_F(BatchFixture, TreeMergedParallelJoinIsDeterministic) {
-  // The per-thread-arena + pairwise-tree epilogue must produce the exact
-  // same table on every run (combine order is fixed by part index, not
-  // thread scheduling) and stay cell-set-equal to the serial plan.
-  CompressedTable table = ProvRcCompress(chain_[0].rel);
-  Rng rng(41);
-  BoxTable query = BoxTable::FromCells(
-      static_cast<int>(shapes_[1].size()),
-      SampleCells(shapes_[1], 24, &rng));  // backward: query out attrs
-
-  BoxTable serial = BackwardThetaJoin(query, table, /*num_threads=*/1);
-  serial.Merge();
-  const int arity = serial.ndim();
-
-  BoxTable first = BackwardThetaJoin(query, table, /*num_threads=*/8,
-                                     /*merge_result=*/true);
-  EXPECT_EQ(ToTupleSet(first.ExpandToCells(), arity),
-            ToTupleSet(serial.ExpandToCells(), arity));
-  for (int rep = 0; rep < 5; ++rep) {
-    BoxTable again = BackwardThetaJoin(query, table, /*num_threads=*/8,
-                                       /*merge_result=*/true);
-    EXPECT_TRUE(BoxTablesIdentical(first, again)) << "rep " << rep;
+// Fans `paths`/`queries` across 8 threads with ProvQueryBatch and checks
+// every entry against a sequential ProvQuery box for box — same boxes, same
+// order — merged and unmerged, on each of 5 reruns. Each entry runs on one
+// thread, so scheduling must not leak into any answer.
+void ExpectBatchIdenticalToSequential(
+    const DSLog& log, const std::vector<std::vector<std::string>>& paths,
+    const std::vector<BoxTable>& queries) {
+  for (bool merge : {true, false}) {
+    QueryOptions sequential;
+    sequential.merge_between_hops = merge;
+    std::vector<BoxTable> want;
+    for (size_t i = 0; i < paths.size(); ++i) {
+      auto r = log.ProvQuery(paths[i], queries[i], sequential);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      want.push_back(std::move(r).value());
+    }
+    QueryOptions fanned = sequential;
+    fanned.num_threads = 8;
+    for (int rep = 0; rep < 5; ++rep) {
+      auto batch = log.ProvQueryBatch(paths, queries, fanned);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch.value().size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(BoxTablesIdentical(batch.value()[i], want[i]))
+            << "merge " << merge << " rep " << rep << " entry " << i;
+    }
   }
+}
 
-  // Unmerged parallel output must equal the serial concatenation order
-  // exactly: the tree reduction is a fixed-order concatenation when no
-  // merging is requested.
-  BoxTable raw_serial = BackwardThetaJoin(query, table, /*num_threads=*/1);
-  BoxTable raw_parallel = BackwardThetaJoin(query, table, /*num_threads=*/8);
-  EXPECT_TRUE(BoxTablesIdentical(raw_serial, raw_parallel));
+TEST_F(BatchFixture, TreeMergedParallelJoinIsDeterministic) {
+  // Backward paths from every chain array back to the first.
+  Rng rng(41);
+  std::vector<std::vector<std::string>> paths;
+  std::vector<BoxTable> queries;
+  for (int b = 0; b < 16; ++b) {
+    const size_t j = 1 + static_cast<size_t>(b) % chain_.size();
+    paths.emplace_back(names_.rend() - static_cast<std::ptrdiff_t>(j) - 1,
+                       names_.rend());
+    queries.push_back(BoxTable::FromCells(static_cast<int>(shapes_[j].size()),
+                                          SampleCells(shapes_[j], 24, &rng)));
+  }
+  ExpectBatchIdenticalToSequential(log_, paths, queries);
 }
 
 TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
-  CompressedTable table = ProvRcCompress(chain_[0].rel);
+  // Forward paths from the first chain array to every later one.
   Rng rng(43);
-  BoxTable query = BoxTable::FromCells(
-      static_cast<int>(shapes_[0].size()),
-      SampleCells(shapes_[0], 24, &rng));  // forward: query in attrs
-
-  BoxTable serial = ForwardThetaJoin(query, table, /*num_threads=*/1);
-  serial.Merge();
-  const int arity = serial.ndim();
-
-  BoxTable direct = ForwardThetaJoin(query, table, /*num_threads=*/8,
-                                     /*merge_result=*/true);
-  EXPECT_EQ(ToTupleSet(direct.ExpandToCells(), arity),
-            ToTupleSet(serial.ExpandToCells(), arity));
-  for (int rep = 0; rep < 5; ++rep) {
-    EXPECT_TRUE(BoxTablesIdentical(
-        direct, ForwardThetaJoin(query, table, 8, true)))
-        << "direct rep " << rep;
+  std::vector<std::vector<std::string>> paths;
+  std::vector<BoxTable> queries;
+  for (int b = 0; b < 16; ++b) {
+    const size_t j = 1 + static_cast<size_t>(b) % chain_.size();
+    paths.emplace_back(names_.begin(),
+                       names_.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+    queries.push_back(BoxTable::FromCells(static_cast<int>(shapes_[0].size()),
+                                          SampleCells(shapes_[0], 24, &rng)));
   }
+  ExpectBatchIdenticalToSequential(log_, paths, queries);
 }
 
 TEST_F(BatchFixture, BatchSizeMismatchRejected) {

@@ -2,9 +2,10 @@
 // op registry, registered into DSLog catalogs and queried in situ, compared
 // cell-for-cell (expanded, deduped) against the UncompressedQuery ground
 // truth — across query direction (forward, backward, mixed), the
-// merge_between_hops knob, resident versus in-situ catalogs, and single-
-// versus multi-threaded θ-join evaluation. This extends the hand-built equivalence
-// cases in query_test.cc with pipeline-level randomized coverage.
+// merge_between_hops knob, resident versus in-situ catalogs, and single
+// ProvQuery versus a ProvQueryBatch fanned across 4 threads. This extends
+// the hand-built equivalence cases in query_test.cc with pipeline-level
+// randomized coverage.
 
 #include <set>
 #include <string>
@@ -36,9 +37,9 @@ using test_util::ToTupleSet;
 using test_util::TupleSet;
 
 // Runs one path query against every catalog variant (in-memory and the
-// save -> OpenInSitu leg) under every knob
-// combination and compares the expanded, deduplicated cell set to the
-// oracle.
+// save -> OpenInSitu leg), merged and unmerged, alone and as every entry of
+// a 4-thread ProvQueryBatch, and compares the expanded, deduplicated cell
+// set to the oracle.
 struct LogVariant {
   const DSLog* log;
   const char* name;
@@ -54,16 +55,23 @@ void ExpectMatchesOracle(const std::vector<LogVariant>& variants,
       ToTupleSet(UncompressedQuery(rhops, query_cells), result_arity);
   for (const LogVariant& variant : variants) {
     for (bool merge : {true, false}) {
-      for (int threads : {1, 4}) {
-        QueryOptions options;
-        options.merge_between_hops = merge;
-        options.num_threads = threads;
-        auto got = variant.log->ProvQuery(path, query, options);
-        ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-        EXPECT_EQ(ToTupleSet(got.value().ExpandToCells(), result_arity), want)
+      QueryOptions options;
+      options.merge_between_hops = merge;
+      auto got = variant.log->ProvQuery(path, query, options);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      EXPECT_EQ(ToTupleSet(got.value().ExpandToCells(), result_arity), want)
+          << label << " variant=" << variant.name << " merge=" << merge;
+
+      options.num_threads = 4;
+      auto batch = variant.log->ProvQueryBatch(
+          std::vector<std::vector<std::string>>(4, path),
+          std::vector<BoxTable>(4, query), options);
+      ASSERT_TRUE(batch.ok()) << label << ": " << batch.status().ToString();
+      for (size_t i = 0; i < batch.value().size(); ++i)
+        EXPECT_EQ(ToTupleSet(batch.value()[i].ExpandToCells(), result_arity),
+                  want)
             << label << " variant=" << variant.name << " merge=" << merge
-            << " threads=" << threads;
-      }
+            << " batch entry " << i;
     }
   }
 }
@@ -80,8 +88,7 @@ TEST_P(DifferentialPipelineTest, InSituMatchesUncompressedOracle) {
   ASSERT_TRUE(RegisterDag(dag, &plain).ok());
 
   // In-situ leg: persist the catalog as a LogStore file and serve the same
-  // queries through the mapped, lazily-decoded path (at 1 and 4 threads,
-  // like the others).
+  // queries through the mapped, lazily-decoded path.
   const std::string store_path =
       ScratchDir() + "/differential_" + std::to_string(seed) + ".dsl";
   ASSERT_TRUE(plain.SaveLogStore(store_path).ok());
@@ -252,7 +259,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AppendDifferentialTest, ::testing::Range(0, 6));
 // Reference θ-joins over materialized array-of-structs rows — a direct
 // port of the pre-columnar kernels (per-row vectors, linear scan, no
 // interval index). The SoA kernels must stay set-equal to these on every
-// hop of the randomized pipelines, across direction and thread count.
+// hop of the randomized pipelines, in both directions.
 BoxTable AosBackwardJoin(const BoxTable& query,
                          const std::vector<CompressedRow>& rows, int l,
                          int m) {
@@ -345,27 +352,25 @@ TEST_P(SoAVsAosJoinTest, KernelsMatchAosOracleOnRandomPipelines) {
         "seed=" + std::to_string(seed) + " hop=" + std::to_string(h);
 
     for (bool merge : {true, false}) {
-      for (int threads : {1, 4}) {
-        BoxTable back = BackwardThetaJoin(back_q, table, threads);
-        BoxTable want_back = AosBackwardJoin(back_q, rows, l, m);
-        if (merge) {
-          back.Merge();
-          want_back.Merge();
-        }
-        EXPECT_EQ(ToTupleSet(back.ExpandToCells(), m),
-                  ToTupleSet(want_back.ExpandToCells(), m))
-            << label << " backward merge=" << merge << " threads=" << threads;
-
-        BoxTable fwd = ForwardThetaJoin(fwd_q, table, threads);
-        BoxTable want_fwd = AosForwardJoin(fwd_q, rows, l, m);
-        if (merge) {
-          fwd.Merge();
-          want_fwd.Merge();
-        }
-        EXPECT_EQ(ToTupleSet(fwd.ExpandToCells(), l),
-                  ToTupleSet(want_fwd.ExpandToCells(), l))
-            << label << " forward merge=" << merge << " threads=" << threads;
+      BoxTable back = BackwardThetaJoin(back_q, table);
+      BoxTable want_back = AosBackwardJoin(back_q, rows, l, m);
+      if (merge) {
+        back.Merge();
+        want_back.Merge();
       }
+      EXPECT_EQ(ToTupleSet(back.ExpandToCells(), m),
+                ToTupleSet(want_back.ExpandToCells(), m))
+          << label << " backward merge=" << merge;
+
+      BoxTable fwd = ForwardThetaJoin(fwd_q, table);
+      BoxTable want_fwd = AosForwardJoin(fwd_q, rows, l, m);
+      if (merge) {
+        fwd.Merge();
+        want_fwd.Merge();
+      }
+      EXPECT_EQ(ToTupleSet(fwd.ExpandToCells(), l),
+                ToTupleSet(want_fwd.ExpandToCells(), l))
+          << label << " forward merge=" << merge;
     }
   }
 }

@@ -300,9 +300,9 @@ TEST(ZeroOverheadTest, UnprofiledQueryTouchesNoProfileMetrics) {
             before.CounterValue("dslog.query.count") + 1);
 
   // No clock read either. The between-hop merge is the only step inside a
-  // hop that times itself, and its timer sits behind the same guard as its
-  // BoxTable.Merge span (JoinCounters passed). With tracing forced on, an
-  // unprofiled merging query still records no span at all.
+  // hop that times itself, and its timer sits on the profiled path with its
+  // BoxTable.Merge span. With tracing forced on, an unprofiled merging
+  // query still records no span at all.
   trace::EnabledScope tracing(true);
   const int64_t traced_before = trace::EventCount();
   BoxTable traced = InSituQuery(hops, query, options);
@@ -320,34 +320,48 @@ TEST(ZeroOverheadTest, CountersAreOptInAndResultInvariant) {
 
   BoxTable plain = BackwardThetaJoin(query, table);
   JoinCounters counters;
-  BoxTable counted = BackwardThetaJoin(query, table, 1, false, &counters);
+  BoxTable counted = BackwardThetaJoin(query, table, &counters);
   ASSERT_EQ(plain.num_boxes(), counted.num_boxes());
-  EXPECT_EQ(counters.probes.load(), 1);
-  EXPECT_GT(counters.rows_scanned.load(), 0);
-  EXPECT_EQ(counters.rows_emitted.load(), counted.num_boxes());
-  EXPECT_EQ(counters.merge_us.load(), 0);  // merge_result was false
+  EXPECT_EQ(counters.probes, 1);
+  EXPECT_GT(counters.rows_scanned, 0);
+  EXPECT_EQ(counters.rows_emitted, counted.num_boxes());
 
-  // A merging join times its merge into merge_us and, with tracing on,
-  // emits exactly one BoxTable.Merge span carrying the box counts.
-  BoxTable plain_merged = BackwardThetaJoin(query, table, 1, true);
-  JoinCounters merge_counters;
-  trace::EnabledScope tracing(true);
+  // A profiled query times each hop's merge into HopProfile::merge_us and
+  // emits one BoxTable.Merge span carrying the box counts; with the merge
+  // off merge_us reads 0.
+  std::vector<QueryHop> hops;
+  hops.emplace_back(&table, /*forward=*/false);
+  QueryOptions options;
+  options.profile = true;
+  options.merge_between_hops = false;
+  QueryProfile unmerged_profile;
+  InSituQuery(hops, query, options, &unmerged_profile);
+  ASSERT_EQ(unmerged_profile.hops.size(), 1u);
+  EXPECT_EQ(unmerged_profile.hops[0].merge_us, 0);
+  EXPECT_EQ(unmerged_profile.hops[0].result_boxes, counted.num_boxes());
+
+  options.merge_between_hops = true;
+  QueryProfile profile;
   const int64_t events_before = trace::EventCount();
-  BoxTable counted_merged =
-      BackwardThetaJoin(query, table, 1, true, &merge_counters);
-  ASSERT_EQ(plain_merged.num_boxes(), counted_merged.num_boxes());
-  EXPECT_LT(counted_merged.num_boxes(), counted.num_boxes());
-  EXPECT_GE(merge_counters.merge_us.load(), 0);
-  EXPECT_EQ(merge_counters.rows_emitted.load(), counted.num_boxes());
+  BoxTable merged = InSituQuery(hops, query, options, &profile);
+  ASSERT_EQ(profile.hops.size(), 1u);
+  const HopProfile& hop = profile.hops[0];
+  EXPECT_LT(merged.num_boxes(), counted.num_boxes());
+  EXPECT_EQ(hop.rows_emitted, counted.num_boxes());
+  EXPECT_EQ(hop.result_boxes, merged.num_boxes());
+  EXPECT_GE(hop.merge_us, 0);
+  EXPECT_LE(static_cast<double>(hop.merge_us), hop.wall_ms * 1000.0 + 1.0)
+      << "the merge runs inside the hop's timer";
   if (trace::kCompiledIn) {
-    EXPECT_EQ(trace::EventCount(), events_before + 1);
+    // InSituQuery, the hop and its merge.
+    EXPECT_EQ(trace::EventCount(), events_before + 3);
     const std::string json = trace::ExportJson();
     EXPECT_NE(json.find("\"BoxTable.Merge\""), std::string::npos);
     EXPECT_NE(json.find("\"boxes_in\": " +
                         std::to_string(counted.num_boxes())),
               std::string::npos);
     EXPECT_NE(json.find("\"boxes_out\": " +
-                        std::to_string(counted_merged.num_boxes())),
+                        std::to_string(merged.num_boxes())),
               std::string::npos);
   }
 }

@@ -106,7 +106,6 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
 
   ASSERT_EQ(profile.hops.size(), static_cast<size_t>(kSteps));
   EXPECT_FALSE(profile.simd_isa.empty());
-  EXPECT_EQ(profile.num_threads, 1);
   EXPECT_TRUE(profile.merge_between_hops);
   EXPECT_EQ(profile.result_boxes, result.value().num_boxes());
   EXPECT_GE(profile.wall_ms, 0.0);
@@ -277,10 +276,9 @@ TEST(ProfileTest, JsonAndTextExports) {
 
   const std::string json = profile.ToJson();
   for (const char* field :
-       {"\"simd_isa\"", "\"num_threads\"", "\"wall_ms\"", "\"result_boxes\"",
-        "\"hops\"", "\"in_arr\"", "\"op_name\"", "\"cache_hit\"",
-        "\"borrowed\"", "\"segment_bytes\"", "\"rows_scanned\"",
-        "\"step_0\""}) {
+       {"\"simd_isa\"", "\"wall_ms\"", "\"result_boxes\"", "\"hops\"",
+        "\"in_arr\"", "\"op_name\"", "\"cache_hit\"", "\"borrowed\"",
+        "\"segment_bytes\"", "\"rows_scanned\"", "\"step_0\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << "missing " << field;
   }
   EXPECT_EQ(json.find("\"est_rows\""), std::string::npos);
@@ -292,7 +290,7 @@ TEST(ProfileTest, JsonAndTextExports) {
        it != std::sregex_iterator(); ++it)
     keys.insert((*it)[1].str());
   const std::set<std::string> want_keys = {
-      "simd_isa", "num_threads", "merge_between_hops", "wall_ms",
+      "simd_isa", "merge_between_hops", "wall_ms",
       "result_boxes", "hops", "hop", "in_arr", "out_arr", "op_name",
       "forward", "from_store", "cache_hit", "borrowed", "segment_bytes",
       "bytes_decompressed", "rows_materialized", "resolve_us", "table_rows",

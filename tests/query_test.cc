@@ -333,18 +333,19 @@ TEST(ThetaJoinTest, IndexProbesTheLeastHitAttribute) {
 
   for (bool forward : {false, true}) {
     JoinCounters chosen, attr0;
-    BoxTable got =
-        forward ? ForwardThetaJoin(q, table, 1, true, &chosen)
-                : BackwardThetaJoin(q, table, 1, true, &chosen);
-    BoxTable old =
-        forward ? ForwardThetaJoin(q, table.view(), &index0, 1, true, &attr0)
-                : BackwardThetaJoin(q, table.view(), &index0, 1, true, &attr0);
+    BoxTable got = forward ? ForwardThetaJoin(q, table, &chosen)
+                           : BackwardThetaJoin(q, table, &chosen);
+    BoxTable old = forward
+                       ? ForwardThetaJoin(q, table.view(), &index0, &attr0)
+                       : BackwardThetaJoin(q, table.view(), &index0, &attr0);
+    got.Merge();
+    old.Merge();
     ExpectIdenticalBoxes(got, expected, forward ? "forward" : "backward");
     ExpectIdenticalBoxes(old, expected, forward ? "forward/0" : "backward/0");
-    EXPECT_EQ(chosen.probes.load(), q.num_boxes());
-    EXPECT_LE(chosen.rows_scanned.load(), 2 * chosen.probes.load())
+    EXPECT_EQ(chosen.probes, q.num_boxes());
+    EXPECT_LE(chosen.rows_scanned, 2 * chosen.probes)
         << (forward ? "forward" : "backward");
-    EXPECT_EQ(attr0.rows_scanned.load(), n * attr0.probes.load())
+    EXPECT_EQ(attr0.rows_scanned, n * attr0.probes)
         << (forward ? "forward" : "backward");
   }
 }

@@ -165,25 +165,21 @@ TEST_P(ServerDifferentialTest, WireAnswersMatchOracleAndGroundTruth) {
     const TupleSet want =
         ToTupleSet(UncompressedQuery(dir.rhops, dir.cells), dir.result_arity);
     for (bool merge : {true, false}) {
-      for (int threads : {1, 4}) {
-        QueryOptions options;
-        options.merge_between_hops = merge;
-        options.num_threads = threads;
-        const std::string label = std::string(dir.label) +
-                                  " seed=" + std::to_string(seed) +
-                                  " merge=" + std::to_string(merge) +
-                                  " threads=" + std::to_string(threads);
-        auto wire = client->Query(dir.path, q, options);
-        ASSERT_TRUE(wire.ok()) << label << ": " << wire.status().ToString();
-        EXPECT_EQ(ToTupleSet(wire.value().ExpandToCells(), dir.result_arity),
-                  want)
-            << label << " (wire vs ground truth)";
+      QueryOptions options;
+      options.merge_between_hops = merge;
+      const std::string label = std::string(dir.label) +
+                                " seed=" + std::to_string(seed) +
+                                " merge=" + std::to_string(merge);
+      auto wire = client->Query(dir.path, q, options);
+      ASSERT_TRUE(wire.ok()) << label << ": " << wire.status().ToString();
+      EXPECT_EQ(ToTupleSet(wire.value().ExpandToCells(), dir.result_arity),
+                want)
+          << label << " (wire vs ground truth)";
 
-        auto local = oracle->ProvQuery(dir.path, q, options);
-        ASSERT_TRUE(local.ok()) << label;
-        EXPECT_EQ(wire.value().ExpandToCells(), local.value().ExpandToCells())
-            << label << " (wire vs in-process oracle must be bit-identical)";
-      }
+      auto local = oracle->ProvQuery(dir.path, q, options);
+      ASSERT_TRUE(local.ok()) << label;
+      EXPECT_EQ(wire.value().ExpandToCells(), local.value().ExpandToCells())
+          << label << " (wire vs in-process oracle must be bit-identical)";
     }
   }
 
@@ -439,9 +435,7 @@ TEST(ServerStressTest, ConcurrentIngestAndQueriesOnSharedTenant) {
         std::vector<int64_t> cells = SampleCells(dag.shapes[0], 5, &rng);
         const BoxTable q = BoxTable::FromCells(
             static_cast<int>(dag.shapes[0].size()), cells);
-        QueryOptions options;
-        options.num_threads = 1 + (round % 2) * 3;
-        auto r = client->Query(path, q, options);
+        auto r = client->Query(path, q);
         if (!r.ok()) return fail("query: " + r.status().ToString());
         const int arity = static_cast<int>(dag.shapes.back().size());
         if (ToTupleSet(r.value().ExpandToCells(), arity) !=

@@ -359,31 +359,21 @@ TEST(JoinPathSweepTest, BackwardJoinBitIdenticalAcrossPathsAndOracle) {
   // Across a selectivity sweep: the unmerged join equals the brute-force
   // oracle as a set, and the owned-table overload, the view overload with
   // an ephemeral index and the profiled call all return the same rows in
-  // the same order per (query, num_threads, merge).
+  // the same order.
   for (int64_t rows : {257ll, 4096ll}) {
     CompressedTable table = MakeWideTable(rows, 99);
     for (double frac : kSelectivities) {
       BoxTable q = MakeSweepQuery(rows, frac, 7);
-      const auto oracle = BruteForceBackward(q, table.view());
-      for (int num_threads : {1, 4}) {
-        for (bool merge : {false, true}) {
-          const BoxTable reference =
-              BackwardThetaJoin(q, table, num_threads, merge);
-          if (!merge) {
-            EXPECT_EQ(SortedBoxes(reference), oracle)
-                << "rows=" << rows << " frac=" << frac
-                << " threads=" << num_threads;
-          }
-          JoinCounters counters;
-          EXPECT_TRUE(SameTable(
-              BackwardThetaJoin(q, table.view(), nullptr, num_threads, merge,
-                                &counters),
-              reference))
-              << "rows=" << rows << " frac=" << frac
-              << " threads=" << num_threads << " merge=" << merge;
-          EXPECT_EQ(counters.probes.load(), q.num_boxes());
-        }
-      }
+      const BoxTable reference = BackwardThetaJoin(q, table);
+      EXPECT_EQ(SortedBoxes(reference), BruteForceBackward(q, table.view()))
+          << "rows=" << rows << " frac=" << frac;
+      EXPECT_TRUE(SameTable(BackwardThetaJoin(q, table.view()), reference))
+          << "view rows=" << rows << " frac=" << frac;
+      JoinCounters counters;
+      EXPECT_TRUE(SameTable(
+          BackwardThetaJoin(q, table.view(), nullptr, &counters), reference))
+          << "profiled rows=" << rows << " frac=" << frac;
+      EXPECT_EQ(counters.probes, q.num_boxes());
     }
   }
 }
@@ -408,22 +398,15 @@ TEST(JoinPathSweepTest, ForwardJoinBitIdenticalAcrossPaths) {
         box[0].hi = box[0].lo + width - 1;
         q.AddBox(box);
       }
-      for (int num_threads : {1, 4}) {
-        const BoxTable owned = ForwardThetaJoin(q, table, num_threads, false);
-        EXPECT_TRUE(SameTable(
-            ForwardThetaJoin(q, table.view(), nullptr, num_threads, false),
-            owned))
-            << "view rows=" << rows << " frac=" << frac
-            << " threads=" << num_threads;
-        JoinCounters counters;
-        EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view(), nullptr,
-                                               num_threads, false, &counters),
-                              owned))
-            << "profiled rows=" << rows << " frac=" << frac
-            << " threads=" << num_threads;
-        EXPECT_EQ(counters.probes.load(), q.num_boxes());
-        EXPECT_EQ(counters.rows_emitted.load(), owned.num_boxes());
-      }
+      const BoxTable owned = ForwardThetaJoin(q, table);
+      EXPECT_TRUE(SameTable(ForwardThetaJoin(q, table.view()), owned))
+          << "view rows=" << rows << " frac=" << frac;
+      JoinCounters counters;
+      EXPECT_TRUE(SameTable(
+          ForwardThetaJoin(q, table.view(), nullptr, &counters), owned))
+          << "profiled rows=" << rows << " frac=" << frac;
+      EXPECT_EQ(counters.probes, q.num_boxes());
+      EXPECT_EQ(counters.rows_emitted, owned.num_boxes());
     }
   }
 }

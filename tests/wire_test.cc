@@ -227,33 +227,37 @@ TEST(WireCodecTest, QueryOptionsRoundTrip) {
   in.profile = true;
   std::string buf;
   PutQueryOptions(&buf, in);
+  EXPECT_EQ(buf.size(), 2u) << "two bools: merge and profile";
   size_t pos = 0;
   QueryOptions out;
   ASSERT_TRUE(GetQueryOptions(buf, &pos, &out));
   EXPECT_EQ(out.merge_between_hops, in.merge_between_hops);
-  EXPECT_EQ(out.num_threads, in.num_threads);
   EXPECT_EQ(out.profile, in.profile);
+  // A single query runs on one thread, so the server never reads a
+  // thread count: it does not travel.
+  EXPECT_EQ(out.num_threads, 1) << "num_threads never travels";
   EXPECT_EQ(out.cancel, nullptr) << "cancel never travels";
 }
 
 TEST(WireCodecTest, QueryOptionsRejectsHostileValues) {
-  {  // zero threads
+  for (size_t len : {0, 1}) {  // truncated
     std::string buf;
     PutBool(&buf, true);
-    PutVarint64(&buf, 0);
     PutBool(&buf, false);
+    buf.resize(len);
     size_t pos = 0;
     QueryOptions out;
-    EXPECT_FALSE(GetQueryOptions(buf, &pos, &out));
+    EXPECT_FALSE(GetQueryOptions(buf, &pos, &out)) << "length " << len;
   }
-  {  // absurd thread count
-    std::string buf;
-    PutBool(&buf, true);
-    PutVarint64(&buf, 1 << 20);
-    PutBool(&buf, false);
-    size_t pos = 0;
-    QueryOptions out;
-    EXPECT_FALSE(GetQueryOptions(buf, &pos, &out));
+  {  // v2 layout (merge, varint thread count, profile): a trailing byte
+    std::string payload;
+    PutVarint64(&payload, 0);  // empty path
+    PutBoxTable(&payload, BoxTable(1));
+    PutBool(&payload, true);
+    PutVarint64(&payload, 4);
+    PutBool(&payload, false);
+    QueryRequest out;
+    EXPECT_FALSE(QueryRequest::Decode(payload, &out));
   }
 }
 
@@ -403,13 +407,15 @@ TEST(ProtocolTest, QueryRoundTrip) {
   QueryRequest req;
   req.path = {"A", "B", "C"};
   req.query = MakeBoxes();
+  req.options.merge_between_hops = false;
   req.options.num_threads = 4;
   req.options.profile = true;
   QueryRequest dreq;
   ASSERT_TRUE(QueryRequest::Decode(req.Encode(), &dreq));
   EXPECT_EQ(dreq.path, req.path);
   ExpectSameBoxes(req.query, dreq.query);
-  EXPECT_EQ(dreq.options.num_threads, 4);
+  EXPECT_FALSE(dreq.options.merge_between_hops);
+  EXPECT_EQ(dreq.options.num_threads, 1) << "num_threads never travels";
   EXPECT_TRUE(dreq.options.profile);
 
   QueryResponse resp;
@@ -771,9 +777,11 @@ TEST(AdversarialWireTest, BadMagicAndWrongVersionAreRejected) {
     EXPECT_EQ(f->opcode, static_cast<uint8_t>(Opcode::kError));
     EXPECT_TRUE(conn.WaitForEof());
   }
-  // An unknown future version and version 1, whose QueryOptions carried
-  // an access-path byte, are both refused rather than misparsed.
-  for (uint32_t version : {99u, 1u}) {
+  // An unknown future version, version 2, whose QueryOptions carried a
+  // thread count, and version 1, whose QueryOptions carried an access-path
+  // byte, are all refused rather than misparsed.
+  static_assert(kProtocolVersion == 3);
+  for (uint32_t version : {99u, 2u, 1u}) {
     RawConn conn(server->port());
     ASSERT_TRUE(conn.ok());
     HelloRequest req;
