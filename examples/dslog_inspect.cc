@@ -44,8 +44,8 @@ std::string BuildDemoStore() {
   const int64_t n = 64;
   (void)log.DefineArray("a0", {n});
   auto add_step = [&](int i) {
-    std::string in = "a" + std::to_string(i);
-    std::string out = "a" + std::to_string(i + 1);
+    std::string in = std::string("a").append(std::to_string(i));
+    std::string out = std::string("a").append(std::to_string(i + 1));
     (void)log.DefineArray(out, {n});
     LineageRelation rel(1, 1);
     rel.set_shapes({n}, {n});

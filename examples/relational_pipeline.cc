@@ -27,9 +27,9 @@ int main() {
     reg.out_arr = wf.array_names[i + 1];
     reg.captured = {wf.steps[i].relation};
     DSLOG_CHECK(log.RegisterOperation(std::move(reg)).ok());
-    std::printf("step %zu: %-18s table %s, lineage rows=%lld\n", i + 1,
+    std::printf("step %zu: %-18s table (%s), lineage rows=%lld\n", i + 1,
                 wf.steps[i].op_name.c_str(),
-                ("(" + JoinInts(wf.shapes[i + 1], "x") + ")").c_str(),
+                JoinInts(wf.shapes[i + 1], "x").c_str(),
                 static_cast<long long>(wf.steps[i].relation.num_rows()));
   }
   std::printf("total stored lineage: %s (ProvRC-GZip)\n\n",

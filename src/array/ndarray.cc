@@ -85,7 +85,7 @@ uint64_t NDArray::ContentHash() const {
 }
 
 std::string NDArray::ShapeToString() const {
-  return "(" + JoinInts(shape_, ",") + ")";
+  return std::string("(").append(JoinInts(shape_, ",")).append(")");
 }
 
 }  // namespace dslog

@@ -127,7 +127,7 @@ std::string RelationToCsv(const LineageRelation& relation) {
   std::string out;
   for (int k = 0; k < relation.out_ndim(); ++k) {
     if (k) out += ",";
-    out += "b" + std::to_string(k + 1);
+    out.append("b").append(std::to_string(k + 1));
   }
   for (int k = 0; k < relation.in_ndim(); ++k) {
     out += ",a" + std::to_string(k + 1);

@@ -55,8 +55,8 @@ Status WriteFileAtomic(const std::string& path, const std::string& data) {
     return Status::IOError("rename failed: " + tmp + " -> " + path);
   }
   // fsync the containing directory so the rename itself is durable.
-  std::string dir = fs::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  const fs::path parent = fs::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
   int dirfd = ::open(dir.c_str(), O_RDONLY);
   if (dirfd >= 0) {
     ::fsync(dirfd);

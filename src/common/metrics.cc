@@ -132,7 +132,8 @@ std::string RegistrySnapshot::ToJson() const {
       if (n == 0) continue;
       if (!first_bucket) out += ", ";
       first_bucket = false;
-      out += "[" + I64(Histogram::BucketLowerBound(b)) + ", " + I64(n) + "]";
+      out.append("[").append(I64(Histogram::BucketLowerBound(b)));
+      out.append(", ").append(I64(n)).append("]");
     }
     out += "]}";
   }

@@ -38,7 +38,11 @@ struct Interval {
 
   std::string ToString() const {
     if (lo == hi) return std::to_string(lo);
-    return "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    return std::string("[")
+        .append(std::to_string(lo))
+        .append(",")
+        .append(std::to_string(hi))
+        .append("]");
   }
 };
 

@@ -4,6 +4,10 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/metrics.h"
+#include "common/timer.h"
+#include "common/trace.h"
+#include "provrc/range_encode.h"
 
 namespace dslog {
 
@@ -18,7 +22,6 @@ struct WorkState {
   int64_t nrows = 0;
   std::vector<Interval> outs;   // nrows * l
   std::vector<Interval> ins;    // nrows * m (absolute intervals)
-  // Step-2 state (empty during step 1):
   std::vector<uint32_t> masks;   // nrows * m; bit 0 = abs, bit 1+j = delta_j
   std::vector<Interval> deltas;  // nrows * m * l
 
@@ -30,77 +33,29 @@ struct WorkState {
 
 // ---------------------------------------------------------------- step 1 --
 
-// Merges runs contiguous on input attribute `target` where all other
-// attributes agree (the generalized range encoding of §IV.A step 1).
-void RangeEncodeInputAttr(WorkState* st, int target) {
-  const int l = st->l, m = st->m;
-  std::vector<int64_t> order(static_cast<size_t>(st->nrows));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    const Interval* oa = st->OutRow(a);
-    const Interval* ob = st->OutRow(b);
-    for (int k = 0; k < l; ++k) {
-      int c = CompareIntervals(oa[k], ob[k]);
-      if (c != 0) return c < 0;
-    }
-    const Interval* ia = st->InRow(a);
-    const Interval* ib = st->InRow(b);
-    for (int k = 0; k < m; ++k) {
-      if (k == target) continue;
-      int c = CompareIntervals(ia[k], ib[k]);
-      if (c != 0) return c < 0;
-    }
-    return CompareIntervals(ia[target], ib[target]) < 0;
-  });
+// Range-encodes each row as one (out ++ in) point box on the input
+// attributes, a_m first (paper order); the first pass also drops duplicate
+// rows. The boxes take twice the relation's bytes, so they are freed here,
+// before step 2 allocates its own state.
+WorkState RangeEncodeInputs(const LineageRelation& relation) {
+  WorkState st;
+  st.l = relation.out_ndim();
+  st.m = relation.in_ndim();
+  const int width = st.l + st.m;
+  std::vector<Interval> boxes(relation.flat().size());
+  std::transform(relation.flat().begin(), relation.flat().end(),
+                 boxes.begin(), Interval::Point);
+  RangeEncodeBoxes(&boxes, width, st.l);
 
-  auto others_equal = [&](int64_t a, int64_t b) {
-    const Interval* oa = st->OutRow(a);
-    const Interval* ob = st->OutRow(b);
-    for (int k = 0; k < l; ++k)
-      if (!(oa[k] == ob[k])) return false;
-    const Interval* ia = st->InRow(a);
-    const Interval* ib = st->InRow(b);
-    for (int k = 0; k < m; ++k)
-      if (k != target && !(ia[k] == ib[k])) return false;
-    return true;
-  };
-
-  std::vector<Interval> new_outs, new_ins;
-  new_outs.reserve(st->outs.size());
-  new_ins.reserve(st->ins.size());
-  int64_t new_rows = 0;
-
-  auto flush = [&](int64_t row, const Interval& acc) {
-    const Interval* o = st->OutRow(row);
-    new_outs.insert(new_outs.end(), o, o + l);
-    const Interval* in = st->InRow(row);
-    for (int k = 0; k < m; ++k)
-      new_ins.push_back(k == target ? acc : in[k]);
-    ++new_rows;
-  };
-
-  int64_t run_row = -1;
-  Interval acc;
-  for (int64_t idx : order) {
-    if (run_row < 0) {
-      run_row = idx;
-      acc = st->InRow(idx)[target];
-      continue;
-    }
-    const Interval& next = st->InRow(idx)[target];
-    if (others_equal(run_row, idx) && acc.AdjacentBefore(next)) {
-      acc.hi = next.hi;
-      continue;
-    }
-    flush(run_row, acc);
-    run_row = idx;
-    acc = next;
+  st.nrows = static_cast<int64_t>(boxes.size()) / width;
+  st.outs.reserve(static_cast<size_t>(st.nrows) * st.l);
+  st.ins.reserve(static_cast<size_t>(st.nrows) * st.m);
+  for (const Interval* row = boxes.data(); row < boxes.data() + boxes.size();
+       row += width) {
+    st.outs.insert(st.outs.end(), row, row + st.l);
+    st.ins.insert(st.ins.end(), row + st.l, row + width);
   }
-  if (run_row >= 0) flush(run_row, acc);
-
-  st->outs = std::move(new_outs);
-  st->ins = std::move(new_ins);
-  st->nrows = new_rows;
+  return st;
 }
 
 // ---------------------------------------------------------------- step 2 --
@@ -280,39 +235,31 @@ void RangeEncodeOutputAttr(WorkState* st, int target) {
 
 CompressedTable ProvRcCompress(const LineageRelation& relation,
                                const ProvRcOptions& options) {
-  LineageRelation rel = relation;
-  rel.SortAndDedup();
-
-  const int l = rel.out_ndim();
-  const int m = rel.in_ndim();
+  static metrics::Histogram& range_encode_us =
+      metrics::Registry::Global().histogram("dslog.ingest.range_encode_us");
+  static metrics::Histogram& relative_us =
+      metrics::Registry::Global().histogram("dslog.ingest.relative_us");
+  const int l = relation.out_ndim();
+  const int m = relation.in_ndim();
   DSLOG_CHECK(l >= 1 && m >= 1) << "ProvRC requires arities >= 1";
   DSLOG_CHECK(l <= 31) << "output arity too large for representation masks";
+  trace::Span span("ProvRC.Compress", "provrc");
+  span.Arg("rows_in", relation.num_rows());
 
-  WorkState st;
-  st.l = l;
-  st.m = m;
-  st.nrows = rel.num_rows();
-  st.outs.reserve(static_cast<size_t>(st.nrows) * l);
-  st.ins.reserve(static_cast<size_t>(st.nrows) * m);
-  for (int64_t r = 0; r < st.nrows; ++r) {
-    auto row = rel.Row(r);
-    for (int k = 0; k < l; ++k)
-      st.outs.push_back(Interval::Point(row[static_cast<size_t>(k)]));
-    for (int k = 0; k < m; ++k)
-      st.ins.push_back(Interval::Point(row[static_cast<size_t>(l + k)]));
-  }
-
-  // Step 1: input attributes, a_m first (paper order).
-  for (int i = m - 1; i >= 0; --i) RangeEncodeInputAttr(&st, i);
+  WallTimer timer;
+  WorkState st = RangeEncodeInputs(relation);
+  range_encode_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
+  span.Arg("rows_step1", st.nrows);
 
   // Emit the surviving rows straight into the table's columnar arenas (the
   // working state is already flat, so this is a per-row gather, not a
   // per-row allocation).
-  CompressedTable table(rel.out_shape(), rel.in_shape());
+  CompressedTable table(relation.out_shape(), relation.in_shape());
   std::vector<Interval> row_in(static_cast<size_t>(m));
   std::vector<int32_t> row_ref(static_cast<size_t>(m));
   if (options.enable_relative_transform) {
     // Step 2: relative transform, then output attributes b_l first.
+    timer.Restart();
     InitRepresentations(&st);
     for (int j = l - 1; j >= 0; --j) RangeEncodeOutputAttr(&st, j);
 
@@ -336,12 +283,14 @@ CompressedTable ProvRcCompress(const LineageRelation& relation,
       }
       table.AppendRowRaw(st.OutRow(r), row_in.data(), row_ref.data());
     }
+    relative_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   } else {
     table.Reserve(st.nrows);
     std::fill(row_ref.begin(), row_ref.end(), -1);
     for (int64_t r = 0; r < st.nrows; ++r)
       table.AppendRowRaw(st.OutRow(r), st.InRow(r), row_ref.data());
   }
+  span.Arg("rows_out", table.num_rows());
   return table;
 }
 

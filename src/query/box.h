@@ -46,13 +46,10 @@ class BoxTable {
   static BoxTable FromBox(std::vector<Interval> box);
 
   /// Coalesces adjacent boxes attribute-by-attribute (the same greedy
-  /// multi-attribute range encoding ProvRC uses) and drops exact duplicates.
-  /// One pass per attribute, last first; each pass orders the boxes by the
-  /// other attributes, then the target, and unions target intervals that
-  /// overlap or touch. When every attribute's lo and extent (hi - lo) fit
-  /// one 64-bit key as offsets from their minima, the pass radix-sorts one
-  /// packed key per box; otherwise it sorts the rows with a comparator.
-  /// Both orders agree, so the output is the same either way.
+  /// multi-attribute range encoding ProvRC uses: RangeEncodeBoxes over
+  /// every attribute, last first) and drops exact duplicates. Each pass
+  /// orders the boxes by the other attributes, then the target, and unions
+  /// target intervals that overlap or touch.
   void Merge();
 
   /// Expands to explicit sorted, deduplicated cell tuples. Intended for

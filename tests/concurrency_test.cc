@@ -210,7 +210,8 @@ std::vector<ChainStep> BuildChain(int num_steps, uint64_t seed,
 
 std::vector<std::string> ChainNames(size_t count) {
   std::vector<std::string> names;
-  for (size_t i = 0; i < count; ++i) names.push_back("x" + std::to_string(i));
+  for (size_t i = 0; i < count; ++i)
+    names.push_back(std::string("x").append(std::to_string(i)));
   return names;
 }
 

@@ -69,8 +69,8 @@ void BuildChain(DSLog* log, int first, int num_edges, int64_t width) {
     ASSERT_TRUE(log->DefineArray("a0", {width}).ok());
   }
   for (int i = first; i < first + num_edges; ++i) {
-    std::string in = "a" + std::to_string(i);
-    std::string out = "a" + std::to_string(i + 1);
+    std::string in = std::string("a").append(std::to_string(i));
+    std::string out = std::string("a").append(std::to_string(i + 1));
     ASSERT_TRUE(log->DefineArray(out, {width}).ok());
     OperationRegistration reg;
     reg.op_name = "chain_step";
@@ -87,7 +87,7 @@ std::vector<std::string> ChainPath(int from, int to) {
   std::vector<std::string> path;
   const int step = from <= to ? 1 : -1;
   for (int i = from;; i += step) {
-    path.push_back("a" + std::to_string(i));
+    path.push_back(std::string("a").append(std::to_string(i)));
     if (i == to) break;
   }
   return path;

@@ -15,7 +15,9 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "lineage/lineage_relation.h"
 #include "provrc/compressed_table.h"
+#include "provrc/provrc.h"
 #include "query/box.h"
 #include "query/query_engine.h"
 #include "query/theta_join.h"
@@ -308,6 +310,53 @@ TEST(ZeroOverheadTest, UnprofiledQueryTouchesNoProfileMetrics) {
   BoxTable traced = InSituQuery(hops, query, options);
   EXPECT_EQ(trace::EventCount(), traced_before);
   EXPECT_EQ(traced.num_boxes(), result.num_boxes());
+}
+
+// ProvRC times its two steps into always-on histograms, once per call, and
+// records its ProvRC.Compress span only while tracing is on.
+TEST(ZeroOverheadTest, ProvRcSpanOnlyWhenTracing) {
+  LineageRelation rel(1, 1);
+  rel.set_shapes({64}, {64});
+  for (int64_t c = 63; c >= 0; --c) {  // unsorted, with one duplicate row
+    const int64_t tuple[2] = {c, c};
+    rel.AddTuple(tuple);
+  }
+  const int64_t dup[2] = {5, 5};
+  rel.AddTuple(dup);
+  auto count = [](const char* name) {
+    const RegistrySnapshot snapshot = Registry::Global().Snapshot();
+    const auto* h = snapshot.FindHistogram(name);
+    return h != nullptr ? h->count : 0;
+  };
+  const int64_t range_encode_before = count("dslog.ingest.range_encode_us");
+  const int64_t relative_before = count("dslog.ingest.relative_us");
+
+  trace::Clear();
+  ASSERT_FALSE(trace::Enabled());
+  EXPECT_EQ(ProvRcCompress(rel).num_rows(), 1);
+  EXPECT_EQ(trace::EventCount(), 0);
+  EXPECT_EQ(count("dslog.ingest.range_encode_us"), range_encode_before + 1);
+  EXPECT_EQ(count("dslog.ingest.relative_us"), relative_before + 1);
+
+  // Without step 2 only the range-encoding histogram moves.
+  ProvRcOptions step1_only;
+  step1_only.enable_relative_transform = false;
+  EXPECT_EQ(ProvRcCompress(rel, step1_only).num_rows(), 64);
+  EXPECT_EQ(count("dslog.ingest.range_encode_us"), range_encode_before + 2);
+  EXPECT_EQ(count("dslog.ingest.relative_us"), relative_before + 1);
+
+  if (!trace::kCompiledIn) return;
+  {
+    trace::EnabledScope on(true);
+    ProvRcCompress(rel);
+  }
+  EXPECT_EQ(trace::EventCount(), 1);
+  const std::string json = trace::ExportJson();
+  EXPECT_NE(json.find("\"ProvRC.Compress\""), std::string::npos);
+  EXPECT_NE(json.find("\"rows_in\": 65"), std::string::npos);
+  EXPECT_NE(json.find("\"rows_step1\": 64"), std::string::npos);
+  EXPECT_NE(json.find("\"rows_out\": 1"), std::string::npos);
+  trace::Clear();
 }
 
 // Counters are opt-in (nullptr at every unprofiled call site): passing a

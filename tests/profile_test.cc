@@ -36,8 +36,8 @@ constexpr int kSteps = 3;
 void BuildChain(DSLog* log) {
   ASSERT_TRUE(log->DefineArray("a0", {kN}).ok());
   for (int i = 0; i < kSteps; ++i) {
-    const std::string in = "a" + std::to_string(i);
-    const std::string out = "a" + std::to_string(i + 1);
+    const std::string in = std::string("a").append(std::to_string(i));
+    const std::string out = std::string("a").append(std::to_string(i + 1));
     ASSERT_TRUE(log->DefineArray(out, {kN}).ok());
     LineageRelation rel(1, 1);
     rel.set_shapes({kN}, {kN});
@@ -67,7 +67,8 @@ std::string SaveChainStore(const std::string& file) {
 
 std::vector<std::string> BackwardPath() {
   std::vector<std::string> path;
-  for (int i = kSteps; i >= 0; --i) path.push_back("a" + std::to_string(i));
+  for (int i = kSteps; i >= 0; --i)
+    path.push_back(std::string("a").append(std::to_string(i)));
   return path;
 }
 
@@ -114,8 +115,8 @@ TEST(ProfileTest, ColdRunRecordsZeroCopyResolvesExactly) {
     const HopProfile& hp = profile.hops[h];
     // Backward path hop h traverses edge a(kSteps-h-1) -> a(kSteps-h).
     const int step = kSteps - static_cast<int>(h) - 1;
-    EXPECT_EQ(hp.in_arr, "a" + std::to_string(step));
-    EXPECT_EQ(hp.out_arr, "a" + std::to_string(step + 1));
+    EXPECT_EQ(hp.in_arr, std::string("a").append(std::to_string(step)));
+    EXPECT_EQ(hp.out_arr, std::string("a").append(std::to_string(step + 1)));
     EXPECT_EQ(hp.op_name, "step_" + std::to_string(step));
     EXPECT_FALSE(hp.forward);
 
@@ -190,7 +191,7 @@ TEST(ProfileTest, BatchProfilesFanOutPerEntry) {
 
   std::vector<std::string> forward_path;
   for (int i = 0; i <= kSteps; ++i)
-    forward_path.push_back("a" + std::to_string(i));
+    forward_path.push_back(std::string("a").append(std::to_string(i)));
   std::vector<std::vector<std::string>> paths = {
       BackwardPath(), forward_path, {"a2", "a1"}};
   std::vector<BoxTable> queries = {BoxTable::FromBox({{0, kN - 1}}),

@@ -1,9 +1,14 @@
 // Tests for the ProvRC compressor: paper worked examples, pattern-specific
-// row counts, serialization round-trips, index reshaping, and the central
+// row counts, serialization round-trips, index reshaping, the central
 // losslessness property (Decompress(Compress(R)) == R as sets) over both
-// captured op lineage and randomized relations.
+// captured op lineage and randomized relations, and the exact output bytes
+// (step 1 against its original implementation, the full output against
+// pinned digests).
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,8 @@
 #include "provrc/provrc.h"
 #include "provrc/reshape.h"
 #include "provrc/serialize.h"
+#include "test_util.h"
+#include "workloads/workflows.h"
 
 namespace dslog {
 namespace {
@@ -145,30 +152,30 @@ TEST(ProvRcTest, SortWorstCaseKeepsRows) {
 
 // ------------------------------------------------------ losslessness sweep --
 
-class OpLosslessTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(OpLosslessTest, CompressDecompressRoundTrip) {
-  const ArrayOp* op = OpRegistry::Global().Find(GetParam());
-  ASSERT_NE(op, nullptr);
+// The lineage of one registry op over small seeded inputs, one relation
+// per input array; nullopt when the op takes none of these shapes.
+std::optional<std::vector<LineageRelation>> CaptureRegistryOp(
+    const std::string& name) {
+  const ArrayOp* op = OpRegistry::Global().Find(name);
   Rng rng(17);
   std::vector<NDArray> storage;
   std::vector<int64_t> shape;
   if (op->num_inputs() == 1) {
     shape = op->SupportsUnaryShape({6, 5}) ? std::vector<int64_t>{6, 5}
                                            : std::vector<int64_t>{30};
-    if (!op->SupportsUnaryShape(shape)) GTEST_SKIP();
+    if (!op->SupportsUnaryShape(shape)) return std::nullopt;
     storage.push_back(NDArray::Random(shape, &rng));
   } else if (op->num_inputs() == 2) {
-    if (GetParam() == "matmul" || GetParam() == "kron") {
+    if (name == "matmul" || name == "kron") {
       storage.push_back(NDArray::Random({5, 6}, &rng));
       storage.push_back(NDArray::Random({6, 4}, &rng));
-    } else if (GetParam() == "cross") {
+    } else if (name == "cross") {
       storage.push_back(NDArray::Random({5, 3}, &rng));
       storage.push_back(NDArray::Random({5, 3}, &rng));
-    } else if (GetParam() == "convolve" || GetParam() == "correlate") {
+    } else if (name == "convolve" || name == "correlate") {
       storage.push_back(NDArray::Random({24}, &rng));
       storage.push_back(NDArray::Random({5}, &rng));
-    } else if (GetParam() == "searchsorted") {
+    } else if (name == "searchsorted") {
       storage.push_back(NDArray::Arange(16));
       storage.push_back(NDArray::Random({8}, &rng));
     } else {
@@ -186,9 +193,17 @@ TEST_P(OpLosslessTest, CompressDecompressRoundTrip) {
   for (const auto& s : storage) inputs.push_back(&s);
   OpArgs args = op->SampleArgs(shape, &rng);
   auto out = op->Apply(inputs, args);
-  if (!out.ok()) GTEST_SKIP();
-  auto rels = op->Capture(inputs, out.value(), args).ValueOrDie();
-  for (auto& rel : rels) {
+  if (!out.ok()) return std::nullopt;
+  return op->Capture(inputs, out.value(), args).ValueOrDie();
+}
+
+class OpLosslessTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OpLosslessTest, CompressDecompressRoundTrip) {
+  ASSERT_NE(OpRegistry::Global().Find(GetParam()), nullptr);
+  auto rels = CaptureRegistryOp(GetParam());
+  if (!rels) GTEST_SKIP();
+  for (auto& rel : *rels) {
     if (rel.num_rows() == 0) continue;
     CompressedTable t = ProvRcCompress(rel);
     EXPECT_TRUE(t.Decompress().EqualAsSet(rel)) << GetParam();
@@ -263,6 +278,115 @@ TEST_P(RandomBoxRelationTest, LosslessOnRandomBoxes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBoxRelationTest,
                          ::testing::Range(0, 12));
+
+// ------------------------------------------------------- pinned output --
+
+// Step 1 alone emits exactly the rows of the original comparator-sorted
+// step 1 (test_util::ReferenceRangeEncodeInputs), in its order, over random
+// relations: l, m in 1..3, 0 and 1 rows, duplicates, unsorted and sorted
+// rows, and coordinates too wide for one packed key (the comparator path).
+TEST(ProvRcTest, StepOneMatchesReferenceOnRandomRelations) {
+  ProvRcOptions step1_only;
+  step1_only.enable_relative_transform = false;
+  Rng rng(20241020);
+  static constexpr int64_t kRows[] = {0, 1, 2, 5, 40, 300, 1200};
+  for (int l = 1; l <= 3; ++l) {
+    for (int m = 1; m <= 3; ++m) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const int width = l + m;
+        const int64_t rows = kRows[trial % std::size(kRows)];
+        const bool wide = trial % 3 == 2;
+        // Per attribute: a few anchors (2^40 apart when wide), then small
+        // boxes around them, so runs touch and repeat.
+        std::vector<std::vector<int64_t>> anchors(static_cast<size_t>(width));
+        for (auto& a : anchors)
+          for (uint64_t j = 0, n = 1 + wide + rng.Uniform(2); j < n; ++j)
+            a.push_back(wide ? rng.UniformRange(-4, 4) * (int64_t{1} << 40)
+                             : 0);
+        LineageRelation rel(l, m);
+        rel.set_shapes(std::vector<int64_t>(static_cast<size_t>(l), 8),
+                       std::vector<int64_t>(static_cast<size_t>(m), 8));
+        std::vector<int64_t> tuple(static_cast<size_t>(width));
+        while (rel.num_rows() < rows) {
+          if (rel.num_rows() > 0 && rng.Bernoulli(0.2)) {  // a duplicate
+            auto prev = rel.Row(static_cast<int64_t>(
+                rng.Uniform(static_cast<uint64_t>(rel.num_rows()))));
+            tuple.assign(prev.begin(), prev.end());
+            rel.AddTuple(tuple);
+            continue;
+          }
+          for (size_t k = 0; k < tuple.size(); ++k) {
+            const auto& a = anchors[k];
+            tuple[k] = a[rng.Uniform(a.size())] + rng.UniformRange(0, 5);
+          }
+          rel.AddTuple(tuple);
+        }
+        if (trial % 4 == 1) rel.SortAndDedup();  // presorted input
+        const std::vector<Interval> want =
+            test_util::ReferenceRangeEncodeInputs(rel);
+        const CompressedTable got = ProvRcCompress(rel, step1_only);
+        const std::string what = "l " + std::to_string(l) + " m " +
+                                 std::to_string(m) + " trial " +
+                                 std::to_string(trial);
+        ASSERT_EQ(got.num_rows() * width, static_cast<int64_t>(want.size()))
+            << what;
+        std::vector<int64_t> want_lo, want_hi;
+        for (const Interval& iv : want) {
+          want_lo.push_back(iv.lo);
+          want_hi.push_back(iv.hi);
+        }
+        EXPECT_EQ(std::vector<int64_t>(got.lo_data(),
+                                       got.lo_data() + want_lo.size()),
+                  want_lo)
+            << what;
+        EXPECT_EQ(std::vector<int64_t>(got.hi_data(),
+                                       got.hi_data() + want_hi.size()),
+                  want_hi)
+            << what;
+        EXPECT_EQ(std::vector<int32_t>(got.ref_data(),
+                                       got.ref_data() + got.num_rows() * m),
+                  std::vector<int32_t>(
+                      static_cast<size_t>(got.num_rows() * m), -1))
+            << what;
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Hash64 of the columnar bytes of every table full ProvRC emits, recorded
+// with the original comparator-sorted step 1: over the lineage of every
+// registry op (CaptureRegistryOp's inputs) and over each Fig-8 workflow at
+// a small size. Any change in which rows ProvRC keeps, or in their order,
+// moves these.
+constexpr uint64_t kRegistryOpsDigest = 6107745491696213345ull;
+constexpr uint64_t kImageWorkflowDigest = 17063599761893819952ull;
+constexpr uint64_t kRelationalWorkflowDigest = 8276735019888859486ull;
+constexpr uint64_t kResNetWorkflowDigest = 15941075102770457258ull;
+
+TEST(ProvRcTest, OutputBytesMatchPinnedDigests) {
+  std::string registry_bytes;
+  for (const std::string& name : OpRegistry::Global().AllNames()) {
+    auto rels = CaptureRegistryOp(name);
+    if (!rels) continue;
+    for (const LineageRelation& rel : *rels)
+      if (rel.num_rows() > 0)
+        registry_bytes += SerializeCompressedTableColumnar(ProvRcCompress(rel));
+  }
+  EXPECT_EQ(Hash64(registry_bytes), kRegistryOpsDigest);
+
+  auto digest = [](const Result<Workflow>& wf) {
+    EXPECT_TRUE(wf.ok());
+    std::string bytes;
+    for (const Workflow::Step& step : wf.value().steps)
+      bytes += SerializeCompressedTableColumnar(ProvRcCompress(step.relation));
+    return Hash64(bytes);
+  };
+  EXPECT_EQ(digest(BuildImageWorkflow(32, 32, 7)), kImageWorkflowDigest);
+  EXPECT_EQ(digest(BuildRelationalWorkflow(2000, 1200, 7)),
+            kRelationalWorkflowDigest);
+  EXPECT_EQ(digest(BuildResNetWorkflow(16, 16, 7)), kResNetWorkflowDigest);
+}
 
 // ------------------------------------------------------------- serialization --
 

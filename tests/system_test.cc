@@ -325,8 +325,8 @@ TEST(DSLogTest, DimSigReuseAfterOneVerification) {
   Rng rng(10);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   for (int call = 0; call < 3; ++call) {
-    std::string x = "x" + std::to_string(call);
-    std::string y = "y" + std::to_string(call);
+    std::string x = std::string("x").append(std::to_string(call));
+    std::string y = std::string("y").append(std::to_string(call));
     ASSERT_TRUE(log.DefineArray(x, {32}).ok());
     ASSERT_TRUE(log.DefineArray(y, {32}).ok());
     NDArray xv = NDArray::Random({32}, &rng);
@@ -351,8 +351,8 @@ TEST(DSLogTest, ReuseServesLineageWithoutCapture) {
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   // Two captured calls promote the dim_sig mapping.
   for (int call = 0; call < 2; ++call) {
-    std::string x = "a" + std::to_string(call);
-    std::string y = "b" + std::to_string(call);
+    std::string x = std::string("a").append(std::to_string(call));
+    std::string y = std::string("b").append(std::to_string(call));
     ASSERT_TRUE(log.DefineArray(x, {24}).ok());
     ASSERT_TRUE(log.DefineArray(y, {24}).ok());
     NDArray xv = NDArray::Random({24}, &rng);
@@ -384,8 +384,8 @@ TEST(DSLogTest, GenSigServesDifferentShape) {
   // Calls with two different shapes promote gen_sig.
   int64_t sizes[2] = {16, 28};
   for (int call = 0; call < 2; ++call) {
-    std::string x = "g" + std::to_string(call);
-    std::string y = "h" + std::to_string(call);
+    std::string x = std::string("g").append(std::to_string(call));
+    std::string y = std::string("h").append(std::to_string(call));
     ASSERT_TRUE(log.DefineArray(x, {sizes[call]}).ok());
     ASSERT_TRUE(log.DefineArray(y, {sizes[call]}).ok());
     NDArray xv = NDArray::Random({sizes[call]}, &rng);
@@ -485,8 +485,8 @@ TEST(DSLogTest, ReusePredictorStateSurvivesSaveLoad) {
   Rng rng(22);
   const ArrayOp* neg = OpRegistry::Global().Find("negative");
   for (int call = 0; call < 2; ++call) {
-    std::string x = "p" + std::to_string(call);
-    std::string y = "q" + std::to_string(call);
+    std::string x = std::string("p").append(std::to_string(call));
+    std::string y = std::string("q").append(std::to_string(call));
     ASSERT_TRUE(log.DefineArray(x, {24}).ok());
     ASSERT_TRUE(log.DefineArray(y, {24}).ok());
     NDArray xv = NDArray::Random({24}, &rng);

@@ -2,7 +2,8 @@
 // conversion (for set-semantics comparison against the uncompressed
 // oracle), random cell sampling over an array shape, and the seeded
 // random-pipeline generator the differential suites (in-process and over
-// the network server) both ingest from, and the reference BoxTable merge.
+// the network server) both ingest from, and the reference BoxTable merge
+// and ProvRC step 1.
 
 #ifndef DSLOG_TESTS_TEST_UTIL_H_
 #define DSLOG_TESTS_TEST_UTIL_H_
@@ -54,15 +55,16 @@ inline std::vector<int64_t> SampleCells(const std::vector<int64_t>& shape,
 }
 
 /// The original BoxTable::Merge, kept as the oracle for the packed-key
-/// merge: per attribute (last first), std::sort an index permutation with an
-/// attribute-by-attribute comparator, then sweep duplicates, adjacent and
-/// overlapping target intervals. Its adjacency test `cur.hi + 1` overflows
-/// when hi == INT64_MAX, so it must not be fed such boxes.
-inline BoxTable ReferenceMerge(const BoxTable& in) {
+/// merge: per attribute (last first, down to `first_attr`), std::sort an
+/// index permutation with an attribute-by-attribute comparator, then sweep
+/// duplicates, adjacent and overlapping target intervals. Its adjacency test
+/// `cur.hi + 1` overflows when hi == INT64_MAX, so it must not be fed such
+/// boxes.
+inline BoxTable ReferenceMerge(const BoxTable& in, int first_attr = 0) {
   const int ndim = in.ndim();
   BoxTable table = in;
   if (ndim == 0 || table.empty()) return table;
-  for (int target = ndim - 1; target >= 0; --target) {
+  for (int target = ndim - 1; target >= first_attr; --target) {
     int64_t n = table.num_boxes();
     std::vector<int64_t> order(static_cast<size_t>(n));
     std::iota(order.begin(), order.end(), 0);
@@ -118,6 +120,88 @@ inline BoxTable ReferenceMerge(const BoxTable& in) {
     table = std::move(merged);
   }
   return table;
+}
+
+/// The original ProvRC step 1, kept as the oracle for the shared
+/// range-encoding pass over a relation: SortAndDedup a copy, then per input
+/// attribute (a_m first) std::sort a row permutation by (outputs, other
+/// inputs, target) with an interval comparator and extend a run only by a
+/// target interval that starts right after it (AdjacentBefore). Returns
+/// the surviving rows as flat (out ++ in) intervals, l + m per row, in the
+/// order step 1 leaves them.
+inline std::vector<Interval> ReferenceRangeEncodeInputs(
+    const LineageRelation& relation) {
+  LineageRelation rel = relation;
+  rel.SortAndDedup();
+  const int l = rel.out_ndim(), m = rel.in_ndim();
+  int64_t nrows = rel.num_rows();
+  std::vector<Interval> outs, ins;
+  for (int64_t r = 0; r < nrows; ++r) {
+    auto row = rel.Row(r);
+    for (int k = 0; k < l; ++k)
+      outs.push_back(Interval::Point(row[static_cast<size_t>(k)]));
+    for (int k = 0; k < m; ++k)
+      ins.push_back(Interval::Point(row[static_cast<size_t>(l + k)]));
+  }
+  auto out_row = [&](int64_t r) { return outs.data() + r * l; };
+  auto in_row = [&](int64_t r) { return ins.data() + r * m; };
+
+  for (int target = m - 1; target >= 0; --target) {
+    std::vector<int64_t> order(static_cast<size_t>(nrows));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      for (int k = 0; k < l; ++k) {
+        int c = CompareIntervals(out_row(a)[k], out_row(b)[k]);
+        if (c != 0) return c < 0;
+      }
+      for (int k = 0; k < m; ++k) {
+        if (k == target) continue;
+        int c = CompareIntervals(in_row(a)[k], in_row(b)[k]);
+        if (c != 0) return c < 0;
+      }
+      return CompareIntervals(in_row(a)[target], in_row(b)[target]) < 0;
+    });
+    auto others_equal = [&](int64_t a, int64_t b) {
+      for (int k = 0; k < l; ++k)
+        if (!(out_row(a)[k] == out_row(b)[k])) return false;
+      for (int k = 0; k < m; ++k)
+        if (k != target && !(in_row(a)[k] == in_row(b)[k])) return false;
+      return true;
+    };
+
+    std::vector<Interval> new_outs, new_ins;
+    int64_t new_rows = 0;
+    auto flush = [&](int64_t row, const Interval& acc) {
+      new_outs.insert(new_outs.end(), out_row(row), out_row(row) + l);
+      for (int k = 0; k < m; ++k)
+        new_ins.push_back(k == target ? acc : in_row(row)[k]);
+      ++new_rows;
+    };
+    int64_t run_row = -1;
+    Interval acc;
+    for (int64_t idx : order) {
+      const Interval& next = in_row(idx)[target];
+      if (run_row >= 0 && others_equal(run_row, idx) &&
+          acc.AdjacentBefore(next)) {
+        acc.hi = next.hi;
+        continue;
+      }
+      if (run_row >= 0) flush(run_row, acc);
+      run_row = idx;
+      acc = next;
+    }
+    if (run_row >= 0) flush(run_row, acc);
+    outs = std::move(new_outs);
+    ins = std::move(new_ins);
+    nrows = new_rows;
+  }
+
+  std::vector<Interval> rows;
+  for (int64_t r = 0; r < nrows; ++r) {
+    rows.insert(rows.end(), out_row(r), out_row(r) + l);
+    rows.insert(rows.end(), in_row(r), in_row(r) + m);
+  }
+  return rows;
 }
 
 // A random linear pipeline x0 -> x1 -> ... -> xn plus (when generation
