@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       DSLOG_CHECK(static_cast<int64_t>(r.value().size()) == entries);
     }
     // Reset the registry so the per-bucket record carries only this thread
-    // count's pool activity (the document-level "metrics" block then
+    // count's fan-out width (the document-level "metrics" block then
     // reflects the last bucket — each row's numbers live in its record).
     metrics::Registry::Global().Reset();
     WallTimer timer;
@@ -169,19 +169,9 @@ int main(int argc, char** argv) {
         .Num("reps", static_cast<double>(reps))
         .Num("seconds", seconds)
         .Num("qps", qps)
-        .Num("speedup_vs_1", speedup)
-        .Num("pool_tasks_submitted", static_cast<double>(snap.CounterValue(
-                                         "dslog.pool.tasks_submitted")))
-        .Num("pool_pfor_calls", static_cast<double>(
-                                    snap.CounterValue("dslog.pool.pfor_calls")))
-        .Num("pool_pfor_inline",
-             static_cast<double>(snap.CounterValue("dslog.pool.pfor_inline")));
-    if (const auto* depth = snap.FindHistogram("dslog.pool.queue_depth")) {
-      rec.Num("pool_queue_depth_p50", static_cast<double>(depth->Quantile(0.5)))
-          .Num("pool_queue_depth_p95",
-               static_cast<double>(depth->Quantile(0.95)))
-          .Num("pool_queue_depth_max", static_cast<double>(depth->max));
-    }
+        .Num("speedup_vs_1", speedup);
+    if (const auto* width = snap.FindHistogram("dslog.query.batch_width"))
+      rec.Num("batch_width", width->Mean());
   }
 
   std::printf(

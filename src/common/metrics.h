@@ -10,7 +10,7 @@
 // Write-side contract:
 //   - Counter::Add is a relaxed fetch_add on one of a small set of
 //     cache-line-padded shards picked by thread, so concurrent writers
-//     (pool workers, batch entries) do not bounce one cache line.
+//     (server workers, batch entries) do not bounce one cache line.
 //   - Histogram::Record is a relaxed increment of one log2 bucket plus
 //     relaxed sum/count updates.
 //   - Lookup (Registry::counter("name")) takes a mutex; call sites cache

@@ -1,5 +1,5 @@
 // DslogServer: lineage-as-a-service over TCP. One reactor thread owns
-// accept + all socket reads (non-blocking, poll()-driven); a dedicated
+// accept + all socket reads (non-blocking, poll()-driven); the server's
 // worker pool executes requests and writes responses. Each connection is a
 // *session*: after a Hello handshake it binds to one tenant store
 // namespace, owns at most one StagedIngest (batched ingest that commits
@@ -47,9 +47,9 @@ struct ServerOptions {
   /// Accept bound: connections beyond this are answered kOverloaded and
   /// closed without ever becoming sessions.
   int max_sessions = 4096;
-  /// Request-execution threads. 0 = min(8, hardware_concurrency). The pool
-  /// is the server's own — blocking response writes must never stall the
-  /// shared query ThreadPool.
+  /// Request-execution threads. 0 = min(8, hardware_concurrency). This
+  /// pool is the only worker pool in the library: each request runs on
+  /// one of its threads, and a Query request runs one ProvQuery there.
   int worker_threads = 0;
   /// Unanswered frames one session may queue before it is treated as a
   /// protocol flooder and torn down.

@@ -104,8 +104,9 @@ struct QueryOptions {
   /// reproduces the DSLog-NoMerge baseline of Fig 9.
   bool merge_between_hops = true;
   /// Fan-out width of DSLog::ProvQueryBatch: up to this many batch
-  /// entries run at once on the shared ThreadPool. A single query always
-  /// runs on its caller's thread, so ProvQuery and InSituQuery ignore it.
+  /// entries run at once, on threads started for that call. A single query
+  /// always runs on its caller's thread, so ProvQuery and InSituQuery
+  /// ignore it.
   int num_threads = 1;
   /// Collect a QueryProfile (pass one to InSituQuery/ProvQuery) and enable
   /// trace spans (common/trace.h) for the query's duration. false keeps

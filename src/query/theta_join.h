@@ -49,7 +49,7 @@ struct JoinCounters {
 
 // Every join runs on the caller's thread and returns the raw kernel output
 // in query-box order. Parallelism lives one level up: ProvQueryBatch fans
-// whole queries across the ThreadPool.
+// whole queries across threads started for each batch.
 
 /// Backward θ-join: query boxes over output attributes -> input-cell boxes.
 /// `index` is the table's backward index (BuildBackwardIndex); pass nullptr

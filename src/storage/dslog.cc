@@ -1,11 +1,12 @@
 #include "storage/dslog.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
+#include <thread>
 
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "provrc/provrc.h"
@@ -464,7 +465,17 @@ Result<std::vector<BoxTable>> DSLog::ProvQueryBatch(
   const int64_t n = static_cast<int64_t>(paths.size());
   if (n == 0) return std::vector<BoxTable>{};
 
-  const int num_threads = std::max(1, options.num_threads);
+  // The calling thread and width - 1 threads started for this call claim
+  // entries from one counter. The cap is the hardware concurrency, at least
+  // 8, so thread-count sweeps behave the same on small machines.
+  const int64_t cap = std::max<int64_t>(
+      8, static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const int64_t width = std::min(
+      {n, static_cast<int64_t>(std::max(1, options.num_threads)), cap});
+  static metrics::Histogram& batch_width =
+      metrics::Registry::Global().histogram("dslog.query.batch_width");
+  batch_width.Record(width);
+
   const bool prof = options.profile && profiles != nullptr;
   if (prof) {
     profiles->clear();
@@ -472,21 +483,26 @@ Result<std::vector<BoxTable>> DSLog::ProvQueryBatch(
   }
   std::vector<BoxTable> results(paths.size());
   std::vector<Status> statuses(paths.size(), Status::OK());
-  ThreadPool::Shared().ParallelFor(
-      n,
-      [&](int64_t i) {
-        const size_t idx = static_cast<size_t>(i);
-        // Entries lock nothing beyond per-hop edge-lock reads, so concurrent
-        // writers make progress throughout a long batch. Each profiled
-        // entry writes only its own pre-sized slot.
-        auto r = ProvQuery(paths[idx], queries[idx], options,
-                           prof ? &(*profiles)[idx] : nullptr);
-        if (r.ok())
-          results[idx] = std::move(r).value();
-        else
-          statuses[idx] = r.status();
-      },
-      num_threads);
+  std::atomic<int64_t> next{0};
+  auto run_entries = [&] {
+    for (int64_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      const size_t idx = static_cast<size_t>(i);
+      // Entries lock nothing beyond per-hop edge-lock reads, so concurrent
+      // writers make progress throughout a long batch. Each profiled entry
+      // writes only its own pre-sized slot.
+      auto r = ProvQuery(paths[idx], queries[idx], options,
+                         prof ? &(*profiles)[idx] : nullptr);
+      if (r.ok())
+        results[idx] = std::move(r).value();
+      else
+        statuses[idx] = r.status();
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(width - 1));
+  for (int64_t t = 1; t < width; ++t) threads.emplace_back(run_entries);
+  run_entries();
+  for (std::thread& t : threads) t.join();
 
   for (size_t i = 0; i < statuses.size(); ++i)
     if (!statuses[i].ok())
@@ -626,8 +642,7 @@ Status DSLog::SaveLogStore(const std::string& path,
   return writer.Finish();
 }
 
-Status DSLog::AppendLogStore(const std::string& path,
-                             SegmentLayout layout) const {
+Status DSLog::AppendLogStore(const std::string& path) const {
   static metrics::Histogram& append_us =
       metrics::Registry::Global().histogram("dslog.logstore.append_us");
   static metrics::Counter& segments_written =
@@ -654,8 +669,8 @@ Status DSLog::AppendLogStore(const std::string& path,
     // Skip only byte-identical segments: a re-registered edge whose
     // lineage changed must be re-persisted, not silently kept stale. An
     // unchanged edge is kept in the *existing* segment's layout even when
-    // the preferred layout differs (appends extend mixed-layout stores,
-    // they don't migrate them — use SaveLogStore for a full rewrite).
+    // that is gzip (appends extend mixed-layout stores, they don't migrate
+    // them — use SaveLogStore for a full rewrite).
     const LogStore::SegmentInfo* existing =
         writer.FindSegment(edge.in_arr, edge.out_arr);
     if (existing != nullptr && SegmentUnchanged(store.get(), edge.segment,
@@ -664,7 +679,8 @@ Status DSLog::AppendLogStore(const std::string& path,
       continue;
     }
     EdgeSegmentBytes seg = SerializedEdgeSegment(store.get(), edge.segment,
-                                                 edge.table.get(), layout);
+                                                 edge.table.get(),
+                                                 SegmentLayout::kColumnar);
     DSLOG_RETURN_IF_ERROR(
         writer.AppendRawSegment(edge.in_arr, edge.out_arr, edge.op_name,
                                 seg.bytes, seg.layout, seg.row_count));

@@ -113,12 +113,14 @@ class DSLog {
                              QueryProfile* profile = nullptr) const;
 
   /// Answers a batch of path queries (`paths[i]` evaluated against
-  /// `queries[i]`), fanning the entries across the shared ThreadPool with
-  /// up to `options.num_threads` concurrent workers. This fan-out is the
-  /// only query parallelism: each entry runs on one thread. Entry i of the
-  /// result equals ProvQuery(paths[i], queries[i]) exactly; on any entry
-  /// failure the first (lowest-index) error is returned, annotated with
-  /// its index.
+  /// `queries[i]`). The calling thread and up to `options.num_threads` - 1
+  /// threads started for this call claim entries from one counter; the
+  /// width is also capped by the batch size and by max(8,
+  /// hardware_concurrency), and is recorded in `dslog.query.batch_width`.
+  /// This fan-out is the only query parallelism: each entry runs on one
+  /// thread. Entry i of the result equals ProvQuery(paths[i], queries[i])
+  /// exactly; on any entry failure the first (lowest-index) error is
+  /// returned, annotated with its index.
   ///
   /// With `options.profile` set and `profiles` non-null, `profiles` is
   /// resized to the batch size and entry i receives entry i's
@@ -176,7 +178,8 @@ class DSLog {
   /// Incremental persistence: appends edges not yet present in the file at
   /// `path`, and edges whose lineage changed, plus the arrays and the
   /// current predictor state, through LogStoreWriter::OpenForAppend.
-  /// Existing segments are not rewritten; the footer is.
+  /// Existing segments are not rewritten; the footer is. Resident edges
+  /// append columnar; in-situ edges keep their segment's layout.
   ///
   /// Cost: O(changed) for segments and predictor state. A resident edge
   /// already on disk is recognized by its table's cached columnar digest
@@ -186,8 +189,7 @@ class DSLog {
   /// insertion. Still O(footer): parsing the old footer, snapshotting the
   /// edge set and rebuilding the footer and its PHF index, i.e.
   /// O(#edges + predictor blob bytes).
-  Status AppendLogStore(const std::string& path,
-                        SegmentLayout layout = SegmentLayout::kColumnar) const;
+  Status AppendLogStore(const std::string& path) const;
 
   /// The backing LogStore of an in-situ catalog (decode/cache stats), or
   /// nullptr for a fully in-memory catalog.

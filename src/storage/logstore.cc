@@ -276,12 +276,6 @@ struct LogStoreMetrics {
   }
 };
 
-/// All ShardStats writes happen under the owning shard's mutex; relaxed
-/// stores keep lock-free readers race-free (see header).
-inline void BumpRelaxed(std::atomic<int64_t>& c, int64_t d = 1) {
-  c.fetch_add(d, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- reader --
@@ -497,13 +491,13 @@ Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
     auto it = shard.cache.find(id);
     if (it != shard.cache.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      BumpRelaxed(shard.stats.cache_hits);
+      ++shard.stats.cache_hits;
       lsm.cache_hits.Increment();
       if (ev != nullptr) ev->cache_hit = true;
       seg = it->second.segment;
       if (dir == kNoIndex || seg->index[dir] != nullptr) return pinned(seg);
     } else {
-      BumpRelaxed(shard.stats.cache_misses);
+      ++shard.stats.cache_misses;
       lsm.cache_misses.Increment();
     }
   }
@@ -553,16 +547,16 @@ Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.cache.find(id);
   if (cold) {
-    BumpRelaxed(shard.stats.decode_count);
-    BumpRelaxed(shard.stats.bytes_decompressed, decompressed);
-    BumpRelaxed(shard.stats.rows_materialized, rows_copied);
+    ++shard.stats.decode_count;
+    shard.stats.bytes_decompressed += decompressed;
+    shard.stats.rows_materialized += rows_copied;
     if (borrowed)
-      BumpRelaxed(shard.stats.segments_borrowed);
+      ++shard.stats.segments_borrowed;
     else
-      BumpRelaxed(shard.stats.tables_materialized);
+      ++shard.stats.tables_materialized;
     if (!touched_[id]) {  // id's shard lock guards touched_[id]; see decl
       touched_[id] = 1;
-      BumpRelaxed(shard.stats.segments_touched);
+      ++shard.stats.segments_touched;
     }
     if (it != shard.cache.end()) {  // lost the resolve race
       seg = it->second.segment;
@@ -574,8 +568,8 @@ Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
     }
   }
   if (index != nullptr && seg->index[dir] == nullptr) {
-    BumpRelaxed(dir == kForwardIndex ? shard.stats.forward_indexes_built
-                                     : shard.stats.backward_indexes_built);
+    ++(dir == kForwardIndex ? shard.stats.forward_indexes_built
+                            : shard.stats.backward_indexes_built);
     const int64_t index_bytes = index->bytes();
     seg->index[dir] = std::move(index);
     // An entry evicted while its index was being built keeps the index on
@@ -595,7 +589,7 @@ Result<LogStore::PinnedTable> LogStore::Acquire(size_t id, int dir,
     auto vit = shard.cache.find(victim);
     shard.bytes -= vit->second.charge;
     shard.cache.erase(vit);
-    BumpRelaxed(shard.stats.evictions);
+    ++shard.stats.evictions;
     lsm.evictions.Increment();
   }
   return pinned(seg);
@@ -629,20 +623,17 @@ LogStoreStats LogStore::stats() const {
     CacheShard& shard = cache_shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     const ShardStats& s = shard.stats;
-    const auto ld = [](const std::atomic<int64_t>& v) {
-      return v.load(std::memory_order_relaxed);
-    };
-    out.segments_touched += ld(s.segments_touched);
-    out.decode_count += ld(s.decode_count);
-    out.bytes_decompressed += ld(s.bytes_decompressed);
-    out.tables_materialized += ld(s.tables_materialized);
-    out.rows_materialized += ld(s.rows_materialized);
-    out.segments_borrowed += ld(s.segments_borrowed);
-    out.cache_hits += ld(s.cache_hits);
-    out.cache_misses += ld(s.cache_misses);
-    out.evictions += ld(s.evictions);
-    out.backward_indexes_built += ld(s.backward_indexes_built);
-    out.forward_indexes_built += ld(s.forward_indexes_built);
+    out.segments_touched += s.segments_touched;
+    out.decode_count += s.decode_count;
+    out.bytes_decompressed += s.bytes_decompressed;
+    out.tables_materialized += s.tables_materialized;
+    out.rows_materialized += s.rows_materialized;
+    out.segments_borrowed += s.segments_borrowed;
+    out.cache_hits += s.cache_hits;
+    out.cache_misses += s.cache_misses;
+    out.evictions += s.evictions;
+    out.backward_indexes_built += s.backward_indexes_built;
+    out.forward_indexes_built += s.forward_indexes_built;
     out.cache_bytes += shard.bytes;
   }
   out.segment_count = static_cast<int64_t>(num_segments_);
@@ -684,11 +675,6 @@ Result<LogStoreWriter> LogStoreWriter::OpenForAppend(std::string path) {
 void LogStoreWriter::PutArray(const std::string& name,
                               std::vector<int64_t> shape) {
   arrays_[name] = std::move(shape);
-}
-
-bool LogStoreWriter::HasEdge(const std::string& in_arr,
-                             const std::string& out_arr) const {
-  return edge_index_.count(EdgeStoreKey(in_arr, out_arr)) > 0;
 }
 
 const LogStore::SegmentInfo* LogStoreWriter::FindSegment(

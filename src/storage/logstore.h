@@ -68,7 +68,6 @@
 #ifndef DSLOG_STORAGE_LOGSTORE_H_
 #define DSLOG_STORAGE_LOGSTORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -126,7 +125,9 @@ struct LogStoreOptions {
   /// Budget for resolved segments kept resident (approximate bytes: decoded
   /// tables for v1, plus the interval indexes each entry has built).
   /// Least-recently-used segments are evicted past it; in-flight queries
-  /// keep their pinned entries alive regardless.
+  /// keep their pinned entries alive regardless. Eviction never removes a
+  /// shard's newest entry, so the cache can exceed this budget by up to one
+  /// entry per shard (see cache_shards).
   int64_t cache_capacity_bytes = 64ll << 20;
   /// Verify the per-segment FNV-64 checksum before first use of a segment.
   bool verify_checksums = true;
@@ -136,16 +137,18 @@ struct LogStoreOptions {
   /// Lock stripes of the decode cache. Each shard owns segments with
   /// id % cache_shards == shard, a private LRU list, and an equal slice of
   /// cache_capacity_bytes (never below 1 byte, so eviction still engages
-  /// on tiny budgets). Clamped to >= 1; 1 reproduces the old single-lock
-  /// cache (contention tests sweep this).
+  /// on tiny budgets). A shard keeps its newest entry even when that entry
+  /// alone is larger than its slice, so more shards can hold more than
+  /// the budget: up to one entry per shard beyond it. Clamped to >= 1; 1
+  /// reproduces the old single-lock cache (contention tests sweep this).
   int cache_shards = 8;
 };
 
 /// Decode/cache counters (test + bench observability). This is the
 /// *snapshot* type returned by LogStore::stats(); the live counters are
-/// per-cache-shard relaxed atomics mutated under the owning shard's mutex,
-/// so a snapshot taken under that mutex is internally consistent for the
-/// shard (its invariants hold: decode_count <= cache_misses,
+/// per-cache-shard integers read and written only under the owning
+/// shard's mutex, so a snapshot taken under that mutex is internally
+/// consistent for the shard (its invariants hold: decode_count <= cache_misses,
 /// tables_materialized + segments_borrowed == decode_count,
 /// segments_touched <= decode_count). Cross-shard skew is bounded to
 /// events that complete while stats() walks the shards — every event is
@@ -326,24 +329,21 @@ class LogStore {
   /// slot `dir` built (kNoIndex: no index, PinnedTable::index is null).
   Result<PinnedTable> Acquire(size_t id, int dir, ViewEvent* ev) const;
 
-  /// Live per-shard counters: relaxed atomics *written only under the
-  /// owning shard's mutex* (so the per-shard invariants documented on
-  /// LogStoreStats always hold between mutations) but readable without it
-  /// — stats() still takes the mutex per shard so each shard's snapshot is
-  /// a consistent cut, while TSan sees no data race from any lock-free
-  /// probing of individual fields.
+  /// Live per-shard counters, read and written only under the owning
+  /// shard's mutex (so the per-shard invariants documented on
+  /// LogStoreStats hold in every stats() snapshot).
   struct ShardStats {
-    std::atomic<int64_t> segments_touched{0};
-    std::atomic<int64_t> decode_count{0};
-    std::atomic<int64_t> bytes_decompressed{0};
-    std::atomic<int64_t> tables_materialized{0};
-    std::atomic<int64_t> rows_materialized{0};
-    std::atomic<int64_t> segments_borrowed{0};
-    std::atomic<int64_t> cache_hits{0};
-    std::atomic<int64_t> cache_misses{0};
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> backward_indexes_built{0};
-    std::atomic<int64_t> forward_indexes_built{0};
+    int64_t segments_touched = 0;
+    int64_t decode_count = 0;
+    int64_t bytes_decompressed = 0;
+    int64_t tables_materialized = 0;
+    int64_t rows_materialized = 0;
+    int64_t segments_borrowed = 0;
+    int64_t cache_hits = 0;
+    int64_t cache_misses = 0;
+    int64_t evictions = 0;
+    int64_t backward_indexes_built = 0;
+    int64_t forward_indexes_built = 0;
   };
 
   /// One lock stripe of the decode cache: segments with
@@ -351,7 +351,7 @@ class LogStore {
   /// shard and summed in stats() so the hot path never touches a shared
   /// counter.
   struct CacheShard {
-    std::mutex mu;  // guards everything below (stats: writes only)
+    std::mutex mu;  // guards everything below
     std::unordered_map<size_t, CacheEntry> cache;
     std::list<size_t> lru;  // front = most recent
     int64_t bytes = 0;
@@ -416,10 +416,6 @@ class LogStoreWriter {
 
   /// Registers (or re-registers, idempotently) an array.
   void PutArray(const std::string& name, std::vector<int64_t> shape);
-
-  /// True when an edge in_arr -> out_arr is already indexed (so appenders
-  /// can skip segments that are already on disk).
-  bool HasEdge(const std::string& in_arr, const std::string& out_arr) const;
 
   /// The indexed segment for an edge, or nullptr. Appenders compare its
   /// checksum/length against the candidate bytes to detect (and persist)

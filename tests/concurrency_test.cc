@@ -1,7 +1,7 @@
 // Concurrency stress tests: N reader threads issuing ProvQuery /
 // ProvQueryBatch against a DSLog while a writer thread interleaves
 // DefineArray + RegisterOperation, asserting oracle-consistent results and
-// no lost edges. Also unit coverage for the ThreadPool and the batch API's
+// no lost edges. Also unit coverage for the batch API's fan-out width and
 // sequential equivalence. The whole suite must run clean under
 // ThreadSanitizer (the CI tsan job runs it).
 
@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +18,8 @@
 #include "array/ndarray.h"
 #include "array/op.h"
 #include "array/op_registry.h"
+#include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/box.h"
 #include "query/query_engine.h"
 #include "storage/dslog.h"
@@ -30,147 +31,6 @@ namespace {
 using test_util::SampleCells;
 using test_util::ToTupleSet;
 using test_util::TupleSet;
-
-// ------------------------------------------------------------ ThreadPool --
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr int64_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[static_cast<size_t>(i)], 1);
-}
-
-TEST(ThreadPoolTest, ParallelForWorksWithZeroWorkers) {
-  ThreadPool pool(0);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(100, [&](int64_t i) { sum += i; });
-  EXPECT_EQ(sum, 4950);
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  ThreadPool pool(3);
-  std::atomic<int64_t> count{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    // Nested use from a worker (or the participating caller) must complete
-    // without deadlocking the fixed pool.
-    pool.ParallelFor(5, [&](int64_t) {
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(count, 40);
-}
-
-TEST(ThreadPoolTest, InWorkerThreadDistinguishesCallerFromWorkers) {
-  EXPECT_FALSE(ThreadPool::InWorkerThread());
-  std::atomic<bool> worker_saw_flag{false};
-  std::atomic<bool> done{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  // Declared after mu/cv so its destructor joins the worker (which may
-  // still be inside notify_all) before they are destroyed.
-  ThreadPool pool(2);
-  pool.Submit([&] {
-    worker_saw_flag.store(ThreadPool::InWorkerThread());
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done.store(true);
-    }
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load(); });
-  EXPECT_TRUE(worker_saw_flag.load());
-  // The flag is per-thread, not per-pool: still false on the caller.
-  EXPECT_FALSE(ThreadPool::InWorkerThread());
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromWorkerStaysOnThatWorker) {
-  // The inline-on-nesting contract, asserted thread-by-thread: a
-  // ParallelFor issued from inside a pool worker must run every iteration
-  // serially on that same worker thread (the fixed pool is never
-  // re-entered), while the issuing worker observes InWorkerThread().
-  std::atomic<bool> nested_on_same_thread{true};
-  std::atomic<bool> nested_saw_worker_flag{true};
-  std::atomic<bool> done{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  // Pool last: joins the notifying worker before mu/cv are destroyed.
-  ThreadPool pool(2);
-  pool.Submit([&] {
-    const std::thread::id worker_id = std::this_thread::get_id();
-    pool.ParallelFor(64, [&](int64_t) {
-      if (std::this_thread::get_id() != worker_id)
-        nested_on_same_thread.store(false);
-      if (!ThreadPool::InWorkerThread()) nested_saw_worker_flag.store(false);
-    });
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done.store(true);
-    }
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load(); });
-  EXPECT_TRUE(nested_on_same_thread.load());
-  EXPECT_TRUE(nested_saw_worker_flag.load());
-}
-
-TEST(ThreadPoolTest, CallerParticipatesWhenWorkersAreBusy) {
-  // Forward-progress half of the caller-participation contract: with every
-  // worker parked on a blocking task, ParallelFor must still complete all
-  // iterations (on the caller), not wait for a free worker.
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  // Pool last: joins the gated workers before gate_mu/gate_cv are
-  // destroyed.
-  ThreadPool pool(2);
-  for (int i = 0; i < 2; ++i)
-    pool.Submit([&] {
-      std::unique_lock<std::mutex> lock(gate_mu);
-      gate_cv.wait(lock, [&] { return gate_open; });
-    });
-  const std::thread::id caller_id = std::this_thread::get_id();
-  std::atomic<int64_t> on_caller{0};
-  pool.ParallelFor(32, [&](int64_t) {
-    if (std::this_thread::get_id() == caller_id)
-      on_caller.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(on_caller.load(), 32);  // workers never got to help
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-}
-
-TEST(ThreadPoolTest, MaxParallelismOneIsSequential) {
-  ThreadPool pool(4);
-  int64_t sequential_sum = 0;  // no synchronization: must run on the caller
-  pool.ParallelFor(
-      50, [&](int64_t i) { sequential_sum += i; }, /*max_parallelism=*/1);
-  EXPECT_EQ(sequential_sum, 1225);
-}
-
-TEST(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 16; ++i)
-    pool.Submit([&] {
-      if (ran.fetch_add(1) + 1 == 16) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ran.load() == 16; });
-  EXPECT_EQ(ran, 16);
-}
 
 // --------------------------------------------------------- chain fixture --
 
@@ -490,6 +350,49 @@ TEST_F(BatchFixture, TreeMergedForwardJoinsAreDeterministic) {
                                           SampleCells(shapes_[0], 24, &rng)));
   }
   ExpectBatchIdenticalToSequential(log_, paths, queries);
+}
+
+// The `dslog.query.batch_width` histogram (empty before any batch ran).
+metrics::HistogramSnapshot BatchWidths() {
+  const metrics::RegistrySnapshot snap = metrics::Registry::Global().Snapshot();
+  const metrics::HistogramSnapshot* h =
+      snap.FindHistogram("dslog.query.batch_width");
+  return h == nullptr ? metrics::HistogramSnapshot{} : *h;
+}
+
+TEST_F(BatchFixture, FanOutWidthIsCappedByEntriesAndAtLeastOne) {
+  Rng rng(47);
+  std::vector<std::vector<std::string>> paths;
+  std::vector<BoxTable> queries;
+  for (size_t j = 1; j <= 3; ++j) {
+    paths.emplace_back(names_.begin(),
+                       names_.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+    queries.push_back(BoxTable::FromCells(static_cast<int>(shapes_[0].size()),
+                                          SampleCells(shapes_[0], 6, &rng)));
+  }
+  std::vector<BoxTable> want;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    auto r = log_.ProvQuery(paths[i], queries[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    want.push_back(std::move(r).value());
+  }
+  // {num_threads, expected width}: three entries never need more than three
+  // threads, and a non-positive request still runs on the caller.
+  for (const auto& [num_threads, width] :
+       std::vector<std::pair<int, int64_t>>{{64, 3}, {0, 1}}) {
+    QueryOptions options;
+    options.num_threads = num_threads;
+    const metrics::HistogramSnapshot before = BatchWidths();
+    auto batch = log_.ProvQueryBatch(paths, queries, options);
+    const metrics::HistogramSnapshot after = BatchWidths();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(after.count - before.count, 1) << "num_threads " << num_threads;
+    EXPECT_EQ(after.sum - before.sum, width) << "num_threads " << num_threads;
+    ASSERT_EQ(batch.value().size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+      EXPECT_TRUE(BoxTablesIdentical(batch.value()[i], want[i]))
+          << "num_threads " << num_threads << " entry " << i;
+  }
 }
 
 TEST_F(BatchFixture, BatchSizeMismatchRejected) {

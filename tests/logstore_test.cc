@@ -642,7 +642,7 @@ TEST(LogStoreTest, WriterReplacementNewestSegmentWins) {
   {
     auto writer = LogStoreWriter::OpenForAppend(path);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    EXPECT_TRUE(writer.value().HasEdge("x", "y"));
+    EXPECT_NE(writer.value().FindSegment("x", "y"), nullptr);
     ASSERT_TRUE(writer.value()
                     .AppendEdge("x", "y", "op",
                                 ProvRcCompress(ShiftRelation(8)))

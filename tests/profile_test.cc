@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -285,11 +284,20 @@ TEST(ProfileTest, JsonAndTextExports) {
   EXPECT_EQ(json.find("\"est_rows\""), std::string::npos);
   // Exactly these keys: no planner estimate and no per-hop representation
   // marker (every forward hop runs the one direct join).
+  // A key is a quote, one or more of [a-z_0-9], then `": `.
   std::set<std::string> keys;
-  const std::regex key_re("\"([a-z_0-9]+)\": ");
-  for (auto it = std::sregex_iterator(json.begin(), json.end(), key_re);
-       it != std::sregex_iterator(); ++it)
-    keys.insert((*it)[1].str());
+  const auto is_key_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+  };
+  for (size_t p = json.find('"'); p != std::string::npos;
+       p = json.find('"', p + 1)) {
+    size_t end = p + 1;
+    while (end < json.size() && is_key_char(json[end])) ++end;
+    if (end > p + 1 && json.compare(end, 3, "\": ") == 0) {
+      keys.insert(json.substr(p + 1, end - p - 1));
+      p = end + 2;
+    }
+  }
   const std::set<std::string> want_keys = {
       "simd_isa", "merge_between_hops", "wall_ms",
       "result_boxes", "hops", "hop", "in_arr", "out_arr", "op_name",
